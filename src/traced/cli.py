@@ -1,14 +1,16 @@
 """Command-line verification harness.
 
-    traced check [--suite ID|all] [--seed N] [--trials N]
+    traced check [--suite ID|all] [--seed N] [--trials N] [--q R]
                  [--format text|json] [--replay FILE] [--list]
     traced eval FILE.diag
     traced demo partition --matrix FILE --length N [--float]
 
 Exit codes: `check` is nonzero iff any suite fails; `eval` is nonzero iff
 an assertion fails or the program is rejected; `check --replay` is nonzero
-iff some stored counterexample no longer reproduces.  TRACED_SEED
-overrides the default seed.
+iff some stored counterexample no longer reproduces.  Exit code 2 means
+unusable input (an unknown suite, a `--q` the graded instance rejects, a
+missing or malformed replay file), reported in one line on stderr.
+TRACED_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from importlib import resources
 
 from .errors import TracedError
+from .graded import GradedVect
 from .suites import REGISTRY, SuiteConfig, replay_entry, run_suite
 from ._rat import parse_rat, rat_str
 
@@ -34,6 +37,26 @@ def _validate_report(doc: dict):
     jsonschema.validate(doc, _schema())
 
 
+# What JSON data of the wrong shape raises when read as replay entries.
+_BAD_DATA = (TracedError, KeyError, TypeError, ValueError, AttributeError, IndexError,
+             ZeroDivisionError)
+
+
+def _replay_entries(path: str) -> list:
+    """(suite id, serialized inputs) of every counterexample stored in a
+    report file, or of the one entry in a {"suite", "inputs"} file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("replay file must hold a JSON object")
+    if "suites" in doc:
+        return [(s["id"], s["counterexample"]["inputs"])
+                for s in doc["suites"] if s.get("counterexample")]
+    if "suite" in doc:
+        return [(doc["suite"], doc["inputs"])]
+    raise ValueError("replay file has neither a report nor a single counterexample")
+
+
 def cmd_check(args) -> int:
     if args.list:
         for sid, suite in sorted(REGISTRY.items()):
@@ -42,28 +65,25 @@ def cmd_check(args) -> int:
         return 0
 
     if args.replay:
-        with open(args.replay) as fh:
-            doc = json.load(fh)
-        entries = []
-        if "suites" in doc:
-            for s in doc["suites"]:
-                if s.get("counterexample"):
-                    entries.append((s["id"], s["counterexample"]["inputs"]))
-        elif "suite" in doc:
-            entries.append((doc["suite"], doc["inputs"]))
-        else:
-            print("replay file has neither a report nor a single counterexample", file=sys.stderr)
+        try:
+            results = [(sid, *replay_entry(sid, inputs))
+                       for sid, inputs in _replay_entries(args.replay)]
+        except (OSError, *_BAD_DATA) as exc:
+            print(f"cannot replay {args.replay}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        if not entries:
+        if not results:
             print("nothing to replay: no stored counterexamples in the file")
             return 0
-        all_reproduced = True
-        for sid, inputs in entries:
-            reproduced, detail = replay_entry(sid, inputs)
+        for sid, reproduced, detail in results:
             status = "reproduced" if reproduced else "NOT reproduced"
             print(f"{sid}: {status}" + (f" ({detail})" if detail and reproduced else ""))
-            all_reproduced &= reproduced
-        return 0 if all_reproduced else 1
+        return 0 if all(reproduced for _sid, reproduced, _detail in results) else 1
+
+    try:
+        GradedVect(parse_rat(args.q))
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"invalid --q {args.q!r}: {exc}", file=sys.stderr)
+        return 2
 
     seed = args.seed
     if seed is None:

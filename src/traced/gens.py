@@ -70,9 +70,6 @@ def trial_stream(seed: int, suite_id: str, trial: int) -> Stream:
     return Stream(int.from_bytes(digest[:8], "big"))
 
 
-_label_counter = 0
-
-
 def _fresh_label(rng: Stream, prefix: str = "p") -> str:
     return f"{prefix}{rng.next_u64() % 100000:05d}"
 

@@ -76,17 +76,6 @@ class GradedVect(MatrixCategory):
         self._own_obj(y)
         return self._swap_matrix(x, y, lambda a, b: rat(1))
 
-    def switching_s(self, x: ObjectRef, y: ObjectRef) -> Morphism:
-        """Alias for the balanced switching (id (x) theta) . c."""
-        return self.switching(x, y)
-
-    def graded_dual(self, x: ObjectRef):
-        """(dual, ev, coev) with dims(-m) = dims(m); zigzags are exact."""
-        return self.dual_data(x)
-
-    def homogeneous(self, x: ObjectRef) -> bool:
-        return len(set(x.payload)) <= 1
-
     def mor_from_blocks(self, x: ObjectRef, y: ObjectRef, blocks: dict) -> Morphism:
         """Morphism from per-degree matrices {degree: rows}; off-degree
         entries are impossible by construction."""

@@ -103,9 +103,14 @@ class RatMatrix:
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
-    def scale(self, c) -> "RatMatrix":
-        c = rat(c)
-        return RatMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+    def reshape(self, rows: int, cols: int) -> "RatMatrix":
+        """The same entries read row-major into a rows x cols matrix:
+        entry (i, j) moves to flat index i * self.cols + j."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        sc = self.cols
+        return RatMatrix(rows, cols, {divmod(i * sc + j, cols): v
+                                      for (i, j), v in self.entries.items()})
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})

@@ -39,8 +39,11 @@ from .thickened import (
     negate_triple,
     pad_thickener,
     post_compose,
+    post_compose_composite,
     pre_compose,
+    pre_compose_composite,
     psi,
+    psi_composite,
     slide_pair,
     tensor_triples,
     tr_hat,
@@ -763,6 +766,55 @@ def suite_dual_trace(key: str) -> Suite:
     )
 
 
+def _gen_oracle_object(inst, rng: Stream, cfg: SuiteConfig, *near):
+    """The zero object one time in five; otherwise up to max_dim degrees drawn
+    in random order from those of `near` and of a fresh object, so matrices
+    between related objects have support at mixed degrees."""
+    if rng.chance(1, 5):
+        return inst.zero_object()
+    pool = [d for x in near for d in x.payload]
+    pool += gen_object(inst, rng, cfg.max_dim, cfg.max_degree).payload
+    return inst.obj(rng.shuffle(pool)[: rng.randint(1, cfg.max_dim)])
+
+
+def suite_kernel_oracle(key: str) -> Suite:
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        x = _gen_oracle_object(inst, rng, cfg)
+        y = _gen_oracle_object(inst, rng, cfg, x)
+        z = inst.dual_obj(_gen_oracle_object(inst, rng, cfg, x, y))
+        w = _gen_oracle_object(inst, rng, cfg, x)
+        v = _gen_oracle_object(inst, rng, cfg, y)
+        unit = inst.unit_object()
+        return {"t": gen_matrix_mor(inst, unit, inst.tensor_obj(y, z), rng),
+                "b": gen_matrix_mor(inst, inst.tensor_obj(z, x), unit, rng),
+                "z": inst.identity(z),
+                "f": gen_matrix_mor(inst, w, x, rng),
+                "g": gen_matrix_mor(inst, y, v, rng)}
+
+    def check(inputs):
+        inst = get_instance(inputs["t"].instance_id)
+        f, g = inputs["f"], inputs["g"]
+        tr = ThickTriple(dom=f.target, cod=g.source, z=inputs["z"].source,
+                         t=inputs["t"], b=inputs["b"])
+        if not inst.mor_equal(psi(tr), psi_composite(tr)):
+            return False, "psi kernel differs from the whiskered composite"
+        if not inst.mor_equal(pre_compose(tr, f).b, pre_compose_composite(tr, f).b):
+            return False, "pre_compose kernel differs from the whiskered composite"
+        if not inst.mor_equal(post_compose(g, tr).t, post_compose_composite(g, tr).t):
+            return False, "post_compose kernel differs from the whiskered composite"
+        return True, ""
+
+    return Suite(
+        suite_id=f"kernel.oracle.{key}",
+        tag="kernel.oracle",
+        description="contraction kernels of psi, pre_compose and post_compose"
+                    " equal the whiskered reference composites",
+        gen=gen,
+        check=check,
+    )
+
+
 def suite_bal_relations() -> Suite:
     def gen(cfg, rng):
         inst = _inst("graded", cfg)
@@ -919,7 +971,8 @@ def suite_negative_control() -> Suite:
         tag="whtr.3",
         description="plain degree-swap in tr_hat should break multiplicativity"
                     " (no counterexample exists: the balanced switching acts as"
-                    " the plain swap on all degree-0 vectors, see ledger)",
+                    " the plain swap on all degree-0 vectors, see the Notes of"
+                    " docs/traceability.md)",
         gen=gen,
         check=check,
         expect_counterexample=True,
@@ -1199,6 +1252,8 @@ def build_registry() -> dict:
     suites.append(suite_vect_trace())
     for key in matrix_inst:
         suites.append(suite_dual_bijection(key))
+    for key in matrix_inst:
+        suites.append(suite_kernel_oracle(key))
     suites.append(suite_bal_relations())
     suites.append(suite_bal_twist())
     suites.append(suite_bal_crossing())

@@ -16,6 +16,12 @@ The remaining operations mirror the calculus: pre/post composition with
 ordinary morphisms, the canonical witness that hat(f1).f2 and f1.hat(f2)
 are one slide apart, the trace pairing, sums of triples over a biproduct,
 and the braided tensor product of triples.
+
+psi, pre_compose and post_compose use an instance's contraction kernel
+(`psi_kernel`, `pre_compose_kernel`, `post_compose_kernel`) when it defines
+one, as the matrix instances do.  The whiskered composites psi_composite,
+pre_compose_composite and post_compose_composite are the reference
+semantics and the only path for every other instance.
 """
 
 from __future__ import annotations
@@ -73,6 +79,15 @@ class SlideWitness:
 def psi(tr: ThickTriple) -> Morphism:
     """(id_Y (x) b) . (t (x) id_X): the morphism the triple factors.
 
+    Uses the instance's contraction kernel when it has one, else the
+    whiskered composite psi_composite, which stays the reference."""
+    kernel = getattr(instance_of(tr.dom), "psi_kernel", None)
+    return psi_composite(tr) if kernel is None else kernel(tr)
+
+
+def psi_composite(tr: ThickTriple) -> Morphism:
+    """psi as the whiskered composite (id_Y (x) b) . (t (x) id_X).
+
     Label-carried instances cannot form Y (x) Z (x) X when dom and cod share
     points (endomorphism triples), so the incoming copy is relabelled
     freshly and the relabelling isometry conjugated away afterwards.
@@ -98,7 +113,18 @@ def tr_hat(tr: ThickTriple) -> Morphism:
 
 
 def pre_compose(tr: ThickTriple, f: Morphism) -> ThickTriple:
-    """Triple for hat . f: replace b by b . (id_Z (x) f)."""
+    """Triple for hat . f: replace b by b . (id_Z (x) f), through the
+    instance's contraction kernel when it has one."""
+    kernel = getattr(instance_of(tr.dom), "pre_compose_kernel", None)
+    if kernel is None:
+        return pre_compose_composite(tr, f)
+    if f.target != tr.dom:
+        raise DomainMismatch("pre_compose needs target(f) = dom of the triple")
+    return ThickTriple(dom=f.source, cod=tr.cod, z=tr.z, t=tr.t, b=kernel(tr, f))
+
+
+def pre_compose_composite(tr: ThickTriple, f: Morphism) -> ThickTriple:
+    """pre_compose by the whiskered composite b . (id_Z (x) f); the reference."""
     inst = instance_of(tr.dom)
     if f.target != tr.dom:
         raise DomainMismatch("pre_compose needs target(f) = dom of the triple")
@@ -107,7 +133,18 @@ def pre_compose(tr: ThickTriple, f: Morphism) -> ThickTriple:
 
 
 def post_compose(f: Morphism, tr: ThickTriple) -> ThickTriple:
-    """Triple for f . hat: replace t by (f (x) id_Z) . t."""
+    """Triple for f . hat: replace t by (f (x) id_Z) . t, through the
+    instance's contraction kernel when it has one."""
+    kernel = getattr(instance_of(tr.dom), "post_compose_kernel", None)
+    if kernel is None:
+        return post_compose_composite(f, tr)
+    if f.source != tr.cod:
+        raise DomainMismatch("post_compose needs source(f) = cod of the triple")
+    return ThickTriple(dom=tr.dom, cod=f.target, z=tr.z, t=kernel(f, tr), b=tr.b)
+
+
+def post_compose_composite(f: Morphism, tr: ThickTriple) -> ThickTriple:
+    """post_compose by the whiskered composite (f (x) id_Z) . t; the reference."""
     inst = instance_of(tr.dom)
     if f.source != tr.cod:
         raise DomainMismatch("post_compose needs source(f) = cod of the triple")

@@ -224,6 +224,34 @@ class MatrixCategory(CategoryInstance):
             raise NotEndo("classical trace needs an endomorphism")
         return f.payload.trace()
 
+    # contraction kernels ---------------------------------------------------
+    #
+    # thickened.psi, pre_compose and post_compose call these instead of the
+    # whiskered composites, whose (Y (x) Z (x) X)-sized Kronecker
+    # intermediates they avoid.  With indices flattened row-major, t is the
+    # |Y| x |Z| matrix T (row y*|Z| + z) and b the |Z| x |X| matrix B (column
+    # z*|X| + x), so each composite is one product.  The composites in
+    # thickened.py stay the reference; suites kernel.oracle.* check that
+    # both paths agree.
+
+    def psi_kernel(self, tr) -> Morphism:
+        """psi(Z, t, b) = (id_Y (x) b) . (t (x) id_X) as T @ B."""
+        nz = dim(tr.z)
+        product = tr.t.payload.reshape(dim(tr.cod), nz) @ tr.b.payload.reshape(nz, dim(tr.dom))
+        return Morphism(self.instance_id, tr.dom, tr.cod, product)
+
+    def pre_compose_kernel(self, tr, f: Morphism) -> Morphism:
+        """b . (id_Z (x) f) as B @ F, flattened back to a row."""
+        product = tr.b.payload.reshape(dim(tr.z), dim(tr.dom)) @ f.payload
+        return Morphism(self.instance_id, self.tensor_obj(tr.z, f.source), tr.b.target,
+                        product.reshape(1, product.rows * product.cols))
+
+    def post_compose_kernel(self, f: Morphism, tr) -> Morphism:
+        """(f (x) id_Z) . t as F @ T, flattened back to a column."""
+        product = f.payload @ tr.t.payload.reshape(dim(tr.cod), dim(tr.z))
+        return Morphism(self.instance_id, tr.t.source, self.tensor_obj(f.target, tr.z),
+                        product.reshape(product.rows * product.cols, 1))
+
 
 def _split_cod(inst, t: Morphism, x: ObjectRef, xd: ObjectRef) -> ObjectRef:
     """Recover Y from t: I -> Y (x) X*, given X and its dual."""
@@ -322,12 +350,6 @@ class SuperVect(MatrixCategory):
 
     def space(self, even: int, odd: int) -> ObjectRef:
         return self.obj((0,) * even + (1,) * odd)
-
-    def even_dim(self, x: ObjectRef) -> int:
-        return sum(1 for d in x.payload if d == 0)
-
-    def odd_dim(self, x: ObjectRef) -> int:
-        return sum(1 for d in x.payload if d == 1)
 
     def grading_involution(self, x: ObjectRef) -> Morphism:
         """eps_X: +1 on even, -1 on odd basis vectors."""

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from traced.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "traced" / "data" / "corpus"
@@ -156,3 +158,36 @@ def test_demo_partition_identity_any_length(tmp_path, capsys):
                                "--length", str(n))
         assert code == 0
         assert ": 3" in out
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.strip()
+
+
+@pytest.mark.parametrize("q", ["1", "0", "-1", "x", "1/0"])
+def test_check_rejects_bad_q_before_running(capsys, q):
+    assert_input_error(*run_cli(capsys, "check", "--suite", "core.laws.finvect",
+                                "--trials", "1", "--q", q))
+
+
+@pytest.mark.parametrize("content", [
+    None,  # missing file
+    "{not json",
+    "[1, 2]",
+    '"suites"',
+    '{"suites": [1]}',
+    '{"suites": [{"id": "whtr.1.finvect", "counterexample": {"detail": "x"}}]}',
+    '{"suite": "nope.nothing", "inputs": {}}',
+    '{"suite": "whtr.1.finvect", "inputs": {}}',
+    '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "matrix-mor"}}}',
+    '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "rat", "value": "1/0"}}}',
+    '{"neither": 1}',
+])
+def test_replay_rejects_bad_files(tmp_path, capsys, content):
+    path = tmp_path / "replay.json"
+    if content is not None:
+        path.write_text(content)
+    assert_input_error(*run_cli(capsys, "check", "--replay", str(path)))

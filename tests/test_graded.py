@@ -71,7 +71,7 @@ def test_graded_dual_dims():
 
 def test_graded_dual_zigzag_and_trace():
     x = g2.space({-2: 1, 1: 2})
-    xd, ev, coev = g2.graded_dual(x)
+    xd, ev, coev = g2.dual_data(x)
     idx = g2.identity(x)
     zig = g2.compose(g2.tensor(idx, ev), g2.tensor(coev, idx))
     assert g2.mor_equal(zig, idx)

@@ -84,3 +84,19 @@ def test_addition_group(a, b):
 @settings(max_examples=30, deadline=None)
 def test_transpose_involution(a):
     assert a.transpose().transpose() == a
+
+
+@given(matrices(2, 6))
+@settings(max_examples=30, deadline=None)
+def test_reshape_is_row_major(a):
+    flat = [v for row in a.to_rows() for v in row]
+    for rows, cols in ((1, 12), (12, 1), (3, 4), (6, 2)):
+        b = a.reshape(rows, cols)
+        assert [v for row in b.to_rows() for v in row] == flat
+        assert b.reshape(2, 6) == a
+
+
+def test_reshape_checks_size():
+    assert RatMatrix(0, 3).reshape(4, 0) == RatMatrix(4, 0)
+    with pytest.raises(ValueError):
+        RatMatrix.identity(2).reshape(3, 1)

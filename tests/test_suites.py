@@ -82,8 +82,8 @@ def test_replay_pinned_counterexamples():
 
 
 def test_negative_control_finds_nothing():
-    """The plain-swap control cannot find a counterexample (see ledger);
-    its result must honestly report failure."""
+    """The plain-swap control cannot find a counterexample (see the Notes
+    of docs/traceability.md); its result must honestly report failure."""
     cfg = SuiteConfig(seed=13, trials=60)
     res = run_one(REGISTRY["balanced.negative-control"], cfg)
     assert res.expect_counterexample

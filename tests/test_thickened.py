@@ -21,6 +21,7 @@ from traced import (
 from traced.errors import CapabilityMissing, DomainMismatch, NotEndo
 from traced.gens import gen_endo_pair, gen_matrix_mor, gen_object, gen_triple, trial_stream
 from traced.matrices import RatMatrix
+from traced.thickened import post_compose_composite, pre_compose_composite, psi_composite
 
 fv = get_instance("finvect")
 sv = get_instance("supervect")
@@ -277,3 +278,76 @@ def test_canonical_thickener_round_trip():
             y = gen_object(inst, rng, 4, 2)
             f = gen_matrix_mor(inst, x, y, rng)
             assert inst.mor_equal(psi(canonical_thickener(f)), f)
+
+
+# -- contraction kernels against the whiskered reference ----------------------
+
+
+def assert_kernels_match_reference(inst, tri, rng):
+    """psi, pre_compose and post_compose equal their reference composites,
+    with f: W -> dom and g: cod -> V drawn at random."""
+    assert inst.mor_equal(psi(tri), psi_composite(tri))
+    w = gen_object(inst, rng, 3, 2)
+    f = gen_matrix_mor(inst, w, tri.dom, rng)
+    assert pre_compose(tri, f) == pre_compose_composite(tri, f)
+    v = gen_object(inst, rng, 3, 2)
+    g = gen_matrix_mor(inst, tri.cod, v, rng)
+    assert post_compose(g, tri) == post_compose_composite(g, tri)
+
+
+def random_triple(inst, x, y, z, rng):
+    unit = inst.unit_object()
+    t = gen_matrix_mor(inst, unit, inst.tensor_obj(y, z), rng, density=100)
+    b = gen_matrix_mor(inst, inst.tensor_obj(z, x), unit, rng, density=100)
+    return ThickTriple(dom=x, cod=y, z=z, t=t, b=b)
+
+
+def test_kernels_with_zero_thickening_object():
+    rng = trial_stream(13, "kernel-zero-z", 0)
+    for inst in MATRIX:
+        x, y = gen_object(inst, rng, 3, 2), gen_object(inst, rng, 3, 2)
+        tri = random_triple(inst, x, y, inst.zero_object(), rng)
+        assert psi(tri) == inst.zero_mor(x, y)
+        assert_kernels_match_reference(inst, tri, rng)
+
+
+def test_kernels_with_zero_domain():
+    rng = trial_stream(14, "kernel-zero-x", 0)
+    for inst in MATRIX:
+        y, z = gen_object(inst, rng, 3, 2), gen_object(inst, rng, 3, 2)
+        tri = random_triple(inst, inst.zero_object(), y, z, rng)
+        assert psi(tri).payload.rows == len(y.payload)
+        assert psi(tri).payload.cols == 0
+        assert_kernels_match_reference(inst, tri, rng)
+
+
+def test_kernel_psi_non_square():
+    x, y, z = fv.space(2), fv.space(3), fv.space(4)
+    unit = fv.unit_object()
+    t = fv.mor(unit, fv.tensor_obj(y, z), [[i + 1] for i in range(12)])
+    b = fv.mor(fv.tensor_obj(z, x), unit, [[rat(j - 3, 2) for j in range(8)]])
+    tri = ThickTriple(dom=x, cod=y, z=z, t=t, b=b)
+    # T is 3x4 with T[y][z] = 4y + z + 1, B is 4x2 with B[z][x] = (2z + x - 3)/2
+    want = [[sum((4 * i + k + 1) * rat(2 * k + j - 3, 2) for k in range(4))
+             for j in range(2)] for i in range(3)]
+    assert psi(tri) == fv.mor(x, y, want)
+    assert_kernels_match_reference(fv, tri, trial_stream(15, "kernel-non-square", 0))
+
+
+def test_kernels_graded_mixed_degrees():
+    g32 = get_instance("graded(q=3/2)")
+    rng = trial_stream(16, "kernel-graded", 0)
+    x = g32.obj((-2, 1, 1, 3))
+    y = g32.obj((1, -2, 0))
+    z = g32.obj((2, -1, 0, -3, -1))
+    tri = random_triple(g32, x, y, z, rng)
+    assert not psi(tri).payload.is_zero()
+    for _ in range(20):
+        assert_kernels_match_reference(g32, tri, rng)
+
+
+def test_bordism_instance_has_no_kernel():
+    rb = get_instance("rbord1")
+    for name in ("psi_kernel", "pre_compose_kernel", "post_compose_kernel"):
+        assert not hasattr(rb, name)
+        assert all(hasattr(inst, name) for inst in MATRIX)
