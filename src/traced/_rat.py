@@ -1,20 +1,15 @@
 """Exact rational scalar type.
 
-Uses gmpy2.mpq when available (noticeably faster), falling back to
-fractions.Fraction.  Both print as "p/q" (or "p" for integers), compare
-equal across types, and support negative integer powers, which is all the
-rest of the package relies on.
+`rat` is fractions.Fraction.  It prints as "p/q" (or "p" for integers) and
+supports negative integer powers, which is all the rest of the package
+relies on.  Matrix arithmetic does not use it: `RatMatrix` stores integer
+numerators over one common denominator, and `rat` only appears where a
+scalar crosses the API, serde or DSL boundary.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as rat
-
-RAT_ZERO = rat(0)
-RAT_ONE = rat(1)
+from fractions import Fraction as rat
 
 
 def rat_str(x) -> str:

@@ -1,32 +1,50 @@
-"""Sparse matrices over exact rationals.
+"""Sparse matrices over exact rationals, stored fraction-free.
 
-The canonical form never stores a zero entry, so structural equality of two
-matrices is bit-exact equality of linear maps.  Rows index the target basis,
+A matrix holds nonzero integer numerators `num: {(i, j): int}` over one
+common denominator `den >= 1`, so entry (i, j) is num[(i, j)] / den.  The
+form is canonical: no zero numerator is stored, gcd(den, *num.values()) is
+1, and the zero matrix has den == 1, so structural equality of two matrices
+is bit-exact equality of linear maps.  Rows index the target basis,
 columns the source basis, and matrices act on column vectors; composition of
 morphisms is therefore plain matrix product.
+
+Every operation works on Python ints and reduces once per result.  The
+scalar type `rat` appears only at the boundary: the public constructor
+takes rationals, and `entries`, `entry`, `trace` and `to_rows` give them
+back.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
+from types import MappingProxyType
 
 from ._rat import rat, rat_str
 
 
 class RatMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries=None, den: int | None = None):
+        """`RatMatrix(rows, cols, {(i, j): rational})` checks bounds, drops
+        zeros and puts the entries over the lcm of their denominators.
+
+        With `den` given, `entries` are integer numerators over `den`, known
+        nonzero and in range (every operation builds its result this way);
+        they are only reduced by their common gcd."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        clean = {}
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = rat(v)
-            if v:
-                clean[(i, j)] = v
-        self.entries = clean
+        if den is None:
+            entries, den = _from_rationals(rows, cols, entries or {})
+        else:
+            g = gcd(den, *entries.values())
+            if g != 1:
+                den //= g
+                entries = {k: v // g for k, v in entries.items()}
+        self.num = entries
+        self.den = den
 
     @classmethod
     def from_rows(cls, data) -> "RatMatrix":
@@ -37,12 +55,12 @@ class RatMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                ent[(i, j)] = rat(v)
+                ent[(i, j)] = v
         return cls(rows, cols, ent)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
@@ -51,7 +69,8 @@ class RatMatrix:
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return ((self.rows, self.cols, self.den, self.num)
+                == (other.rows, other.cols, other.den, other.num))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -59,46 +78,59 @@ class RatMatrix:
 
     __hash__ = None
 
+    @property
+    def entries(self):
+        """The nonzero entries as a read-only {(i, j): rat} mapping, derived
+        from `num` and `den` on each access."""
+        den = self.den
+        return MappingProxyType({k: rat(v, den) for k, v in self.num.items()})
+
     def entry(self, i: int, j: int):
-        return self.entries.get((i, j), rat(0))
+        return rat(self.num.get((i, j), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         by_row = {}
-        for (k, j), v in other.entries.items():
+        for (k, j), v in other.num.items():
             by_row.setdefault(k, []).append((j, v))
         acc = {}
-        for (i, k), v in self.entries.items():
+        for (i, k), v in self.num.items():
             for j, w in by_row.get(k, ()):
                 key = (i, j)
-                prev = acc.get(key)
-                acc[key] = v * w if prev is None else prev + v * w
-        return RatMatrix(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, 0) + v * w
+        return RatMatrix(self.rows, other.cols, {k: v for k, v in acc.items() if v},
+                         self.den * other.den)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product with row-major index flattening on both sides."""
         ent = {}
         oc, orr = other.cols, other.rows
-        for (i1, j1), v1 in self.entries.items():
-            for (i2, j2), v2 in other.entries.items():
+        for (i1, j1), v1 in self.num.items():
+            for (i2, j2), v2 in other.num.items():
                 ent[(i1 * orr + i2, j1 * oc + j2)] = v1 * v2
-        return RatMatrix(self.rows * orr, self.cols * oc, ent)
+        return RatMatrix(self.rows * orr, self.cols * oc, ent, self.den * other.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        acc = dict(self.entries)
-        for key, v in other.entries.items():
-            prev = acc.get(key)
-            acc[key] = v if prev is None else prev + v
-        return RatMatrix(self.rows, self.cols, acc)
+        # both operands over lcm(self.den, other.den) == self.den * sa
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        acc = {k: v * sa for k, v in self.num.items()}
+        for k, v in other.num.items():
+            s = acc.get(k, 0) + v * sb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return RatMatrix(self.rows, self.cols, acc, self.den * sa)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        return RatMatrix(self.rows, self.cols, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
@@ -110,20 +142,17 @@ class RatMatrix:
             raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
         sc = self.cols
         return RatMatrix(rows, cols, {divmod(i * sc + j, cols): v
-                                      for (i, j), v in self.entries.items()})
+                                      for (i, j), v in self.num.items()}, self.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.num.items()},
+                         self.den)
 
     def trace(self):
         """Sum of diagonal entries (requires a square matrix)."""
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        total = rat(0)
-        for (i, j), v in self.entries.items():
-            if i == j:
-                total += v
-        return total
+        return rat(sum(v for (i, j), v in self.num.items() if i == j), self.den)
 
     def power(self, n: int) -> "RatMatrix":
         if self.rows != self.cols:
@@ -149,4 +178,24 @@ class RatMatrix:
                 for i in range(self.rows)
             )
             return f"RatMatrix({self.rows}x{self.cols}: {body})"
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        return f"RatMatrix({self.rows}x{self.cols}, {len(self.num)} entries)"
+
+
+def over_common_denominator(values: dict) -> tuple:
+    """{key: rational} as ({key: integer numerator}, den), with den the lcm of
+    the denominators.  For reduced nonzero rationals gcd(den, *num) == 1."""
+    den = lcm(*[v.denominator for v in values.values()])
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def _from_rationals(rows: int, cols: int, entries) -> tuple:
+    """Canonical (num, den) of {(i, j): rational}: bounds checked, zeros dropped."""
+    vals = {}
+    for (i, j), v in entries.items():
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+        if type(v) is not int and type(v) is not rat:
+            v = rat(v)
+        if v:
+            vals[(i, j)] = v
+    return over_common_denominator(vals)

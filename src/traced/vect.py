@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .core import Capabilities, CategoryInstance, DirectSum, Morphism, ObjectRef
 from .errors import DomainMismatch, NotEndo
-from .matrices import RatMatrix
+from .matrices import RatMatrix, over_common_denominator
 from ._rat import rat
 
 
@@ -69,7 +69,7 @@ class MatrixCategory(CategoryInstance):
                 f"matrix is {matrix.rows}x{matrix.cols}, expected {dim(y)}x{dim(x)}"
             )
         tdeg, sdeg = y.payload, x.payload
-        for (i, j) in matrix.entries:
+        for (i, j) in matrix.num:
             if tdeg[i] != sdeg[j]:
                 raise DomainMismatch(
                     f"entry ({i},{j}) connects degree {sdeg[j]} to degree {tdeg[i]}"
@@ -96,7 +96,8 @@ class MatrixCategory(CategoryInstance):
     def tensor_obj(self, x: ObjectRef, y: ObjectRef) -> ObjectRef:
         self._own_obj(x)
         self._own_obj(y)
-        return self.obj(tuple(self._deg_add(a, b) for a in x.payload for b in y.payload))
+        add = self._deg_add
+        return ObjectRef(self.instance_id, tuple(add(a, b) for a in x.payload for b in y.payload))
 
     def identity(self, x: ObjectRef) -> Morphism:
         self._own_obj(x)
@@ -117,20 +118,26 @@ class MatrixCategory(CategoryInstance):
         )
 
     def _swap_matrix(self, x: ObjectRef, y: ObjectRef, scale) -> Morphism:
-        """Permutation e_i (x) f_j |-> f_j (x) e_i, entry scaled by scale(dx, dy)."""
+        """Permutation e_i (x) f_j |-> f_j (x) e_i, entry scaled by scale(dx, dy).
+
+        scale is evaluated once per distinct pair of degrees, and the
+        matrix is built over the lcm of the scales' denominators."""
         dx, dy = x.payload, y.payload
         nx, ny = len(dx), len(dy)
+        nums, den = over_common_denominator(
+            {(a, b): scale(a, b) for a in set(dx) for b in set(dy)})
         ent = {}
         for i in range(nx):
+            a = dx[i]
             for j in range(ny):
-                v = scale(dx[i], dy[j])
+                v = nums[(a, dy[j])]
                 if v:
                     ent[(j * nx + i, i * ny + j)] = v
         return Morphism(
             self.instance_id,
             self.tensor_obj(x, y),
             self.tensor_obj(y, x),
-            RatMatrix(nx * ny, nx * ny, ent),
+            RatMatrix(nx * ny, nx * ny, ent, den),
         )
 
     def switching(self, x: ObjectRef, y: ObjectRef) -> Morphism:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,13 @@ from traced._rat import rat
 
 
 def entries(rows, cols):
+    """Entries with mixed denominators, zeros included, so that lcms,
+    cancellations and gcd reductions all occur."""
+    if not (rows and cols):
+        return st.just({})
     return st.dictionaries(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
-        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12),
         max_size=rows * cols,
     )
 
@@ -100,3 +105,156 @@ def test_reshape_checks_size():
     assert RatMatrix(0, 3).reshape(4, 0) == RatMatrix(4, 0)
     with pytest.raises(ValueError):
         RatMatrix.identity(2).reshape(3, 1)
+
+
+# -- the integer core against a dict-of-Fraction reference ----------------------
+#
+# A reference matrix is a plain {(i, j): Fraction} dict, possibly holding
+# zeros; the operations below are the textbook definitions on it.
+
+def ref_clean(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def ref_matmul(a, b):
+    acc = {}
+    for (i, k), v in a.items():
+        for (k2, j), w in b.items():
+            if k == k2:
+                acc[(i, j)] = acc.get((i, j), 0) + v * w
+    return acc
+
+
+def ref_kron(a, b, b_rows, b_cols):
+    return {(i1 * b_rows + i2, j1 * b_cols + j2): v * w
+            for (i1, j1), v in a.items() for (i2, j2), w in b.items()}
+
+
+def ref_add(a, b):
+    acc = dict(a)
+    for k, v in b.items():
+        acc[k] = acc.get(k, 0) + v
+    return acc
+
+
+def ref_neg(a):
+    return {k: -v for k, v in a.items()}
+
+
+def ref_reshape(a, old_cols, cols):
+    return {divmod(i * old_cols + j, cols): v for (i, j), v in a.items()}
+
+
+def ref_transpose(a):
+    return {(j, i): v for (i, j), v in a.items()}
+
+
+def ref_power(a, n, size):
+    result = {(i, i): Fraction(1) for i in range(size)}
+    for _ in range(n):
+        result = ref_matmul(result, a)
+    return result
+
+
+def assert_canonical(m):
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(v) is int and v != 0 for v in m.num.values())
+    assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m.num)
+    assert gcd(m.den, *m.num.values()) == 1
+    if not m.num:
+        assert m.den == 1
+
+
+def assert_matches(m, ref, rows, cols):
+    assert_canonical(m)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert dict(m.entries) == ref_clean(ref)
+    assert m == RatMatrix(rows, cols, ref)
+
+
+dims = st.integers(0, 4)
+
+
+@given(dims, dims, dims, st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_reference(n, k, p, data):
+    a, b = data.draw(entries(n, k)), data.draw(entries(k, p))
+    assert_matches(RatMatrix(n, k, a) @ RatMatrix(k, p, b), ref_matmul(a, b), n, p)
+
+
+@given(dims, dims, dims, dims, st.data())
+@settings(max_examples=60, deadline=None)
+def test_kron_matches_reference(r1, c1, r2, c2, data):
+    a, b = data.draw(entries(r1, c1)), data.draw(entries(r2, c2))
+    assert_matches(RatMatrix(r1, c1, a).kron(RatMatrix(r2, c2, b)), ref_kron(a, b, r2, c2),
+                   r1 * r2, c1 * c2)
+
+
+@given(dims, dims, st.data())
+@settings(max_examples=60, deadline=None)
+def test_add_sub_neg_match_reference(rows, cols, data):
+    a, b = data.draw(entries(rows, cols)), data.draw(entries(rows, cols))
+    ma, mb = RatMatrix(rows, cols, a), RatMatrix(rows, cols, b)
+    assert_matches(ma, a, rows, cols)
+    assert_matches(ma + mb, ref_add(a, b), rows, cols)
+    assert_matches(-ma, ref_neg(a), rows, cols)
+    assert_matches(ma - mb, ref_add(a, ref_neg(b)), rows, cols)
+    zero = ma + (-ma)
+    assert_canonical(zero)
+    assert zero == RatMatrix.zero(rows, cols) and zero.den == 1 and zero.is_zero()
+
+
+@given(st.sampled_from([(1, 12), (12, 1), (2, 6), (3, 4), (4, 3), (6, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reshape_transpose_match_reference(shape, data):
+    a = data.draw(entries(3, 4))
+    m = RatMatrix(3, 4, a)
+    rows, cols = shape
+    assert_matches(m.reshape(rows, cols), ref_reshape(a, 4, cols), rows, cols)
+    assert_matches(m.transpose(), ref_transpose(a), 4, 3)
+
+
+@given(st.integers(0, 3), st.integers(0, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_trace_and_power_match_reference(size, n, data):
+    a = data.draw(entries(size, size))
+    m = RatMatrix(size, size, a)
+    assert m.trace() == sum((v for (i, j), v in a.items() if i == j), Fraction(0))
+    assert type(m.trace()) is Fraction
+    assert_matches(m.power(n), ref_power(a, n, size), size, size)
+    assert_matches(RatMatrix.identity(size), ref_power(a, 0, size), size, size)
+
+
+@given(dims, dims, st.data())
+@settings(max_examples=60, deadline=None)
+def test_entries_round_trip(rows, cols, data):
+    m = RatMatrix(rows, cols, data.draw(entries(rows, cols)))
+    assert RatMatrix(m.rows, m.cols, m.entries) == m
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert m.to_rows() == [[m.entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+
+
+def test_equal_across_construction_paths():
+    half = RatMatrix(1, 1, {(0, 0): rat(1, 2)})
+    assert RatMatrix.from_rows([["2/4"]]) == half
+    assert RatMatrix.from_rows([[Fraction(3, 6)]]) == half
+    assert (half.num, half.den) == ({(0, 0): 1}, 2)
+
+
+def test_products_reduce_common_factors():
+    row = RatMatrix.from_rows([["1/2", "1/2"]])
+    col = RatMatrix.from_rows([[2], [2]])
+    product = row @ col
+    assert (product.num, product.den) == ({(0, 0): 2}, 1)
+    k = RatMatrix.from_rows([["1/2"]]).kron(RatMatrix.from_rows([["2/3"]]))
+    assert (k.num, k.den) == ({(0, 0): 1}, 3)
+    s = RatMatrix.from_rows([["1/6", "1/3"]]) + RatMatrix.from_rows([["1/6", "-1/3"]])
+    assert (s.num, s.den) == ({(0, 0): 1}, 3)
+
+
+def test_entries_view_is_read_only():
+    m = RatMatrix.identity(2)
+    with pytest.raises(TypeError):
+        m.entries[(0, 1)] = 1
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {(2, 0): 1})

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pathlib
 import re
 
@@ -114,3 +116,26 @@ def test_all_suites_pass_small_budget_except_designed_red():
     report = run_suite(cfg)
     failing = [r.suite_id for r in report.results if not r.passed]
     assert failing == ["balanced.negative-control"]
+
+
+# The matrix triple-calculus suites, plus the twistless control, whose
+# recorded counterexample puts serialized matrix entries into the report.
+PINNED_SUITES = (
+    *(f"{fam}.{key}" for key in ("finvect", "supervect", "graded")
+      for fam in ("whtr.welldef", "whtr.1", "whtr.pad", "whtr.2", "main2.1", "main2.2",
+                  "pairing.trace", "dual.bijection")),
+    *(f"dual.trace.{key}" for key in ("finvect", "supervect")),
+    *(f"{fam}.{key}" for key in ("supervect", "graded") for fam in ("whtr.3", "main2.3")),
+    "balanced.twistless-control",
+)
+PINNED_REPORT_SHA256 = "d53845896cc99025f2a2b601a9b9c98a869758d56591c39c6d91463ce469406f"
+
+
+def test_report_bytes_are_pinned():
+    """The canonical JSON that `traced check --format json` prints for this
+    config, at q = 3/2 with degrees up to 8, so that the switching scalars
+    q^{mn + m^2} reach high powers, hashes to a constant recorded before the
+    integer matrix core replaced the Fraction-dict storage."""
+    cfg = SuiteConfig(suites=PINNED_SUITES, seed=7, trials=10, max_dim=6, max_degree=8, q="3/2")
+    text = json.dumps(run_suite(cfg).as_json(), indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
