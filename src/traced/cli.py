@@ -9,8 +9,9 @@ Exit codes: `check` is nonzero iff any suite fails; `eval` is nonzero iff
 an assertion fails or the program is rejected; `check --replay` is nonzero
 iff some stored counterexample no longer reproduces.  Exit code 2 means
 unusable input (an unknown suite, a `--q` the graded instance rejects, a
-missing or malformed replay file), reported in one line on stderr.
-TRACED_SEED overrides the default seed.
+`--trials` below 1, a non-integer TRACED_SEED, a missing or malformed
+replay file), reported in one line on stderr.  TRACED_SEED overrides the
+default seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from importlib import resources
 
 from .errors import TracedError
 from .graded import GradedVect
-from .suites import REGISTRY, SuiteConfig, replay_entry, run_suite
+from .suites import REGISTRY, SuiteConfig, replay_entry, run_suite, select_suites
 from ._rat import parse_rat, rat_str
 
 
@@ -84,10 +85,18 @@ def cmd_check(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid --q {args.q!r}: {exc}", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        print(f"invalid --trials {args.trials}: must be at least 1", file=sys.stderr)
+        return 2
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("TRACED_SEED", "42"))
+        env_seed = os.environ.get("TRACED_SEED", "42")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"invalid TRACED_SEED {env_seed!r}: not an integer", file=sys.stderr)
+            return 2
     cfg = SuiteConfig(
         suites=tuple(args.suite or ("all",)),
         seed=seed,
@@ -95,10 +104,11 @@ def cmd_check(args) -> int:
         q=args.q,
     )
     try:
-        report = run_suite(cfg)
+        select_suites(cfg)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
+    report = run_suite(cfg)
 
     if args.format == "json":
         doc = report.as_json()

@@ -8,10 +8,16 @@ there are no tolerances anywhere.
 Negative-control suites invert pass semantics: they PASS when a
 counterexample is found within the trial budget, and record it.  Pinned
 regression inputs shipped with the package are re-checked first.
+
+Suites come in families: one property, checked on each of a list of
+instances.  A family is a function `key -> (gen, check)` registered with
+`@family(...)`, which declares all of its metadata in one place.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .gens import (
     gen_triple,
     trial_stream,
 )
+from .bordism import Bord
 from .matrices import RatMatrix
 from .thickened import (
     ThickTriple,
@@ -132,6 +139,38 @@ class Suite:
     expect_counterexample: bool = False
     pinned: str | None = None  # package-data file of regression inputs
     data_gen: object = None  # data-driven suites (corpus) use this instead of gen
+    data_trials: object = None  # with data_gen: cfg -> number of trials
+
+
+# ---------------------------------------------------------------------------
+# declarative registration
+# ---------------------------------------------------------------------------
+
+# instance keys shared by several families
+ALL = ("finvect", "supervect", "graded", "rbord1")
+MATRIX = ("finvect", "supervect", "graded")
+
+_SUITES = []  # (group, key position, suite), in declaration order
+
+
+def family(prefix, tag, description, keys=(None,), group=None, *,
+           expect_counterexample=False, pinned=None, data_trials=None):
+    """Register the decorated `build: key -> (gen, check)` as one suite per
+    key, named `prefix.key` (just `prefix` for the key None).  With
+    `data_trials` (cfg -> number of trials), `build` returns
+    `(data_gen, check)` instead.  Suites register in declaration order,
+    except that consecutive families of one `group` share their keys and
+    register key-major: each family for the first key, then the next."""
+    def register(build):
+        for pos, key in enumerate(keys):
+            first, check = build(key)
+            suite = Suite(f"{prefix}.{key}" if key else prefix, tag, description,
+                          gen=None if data_trials else first, check=check,
+                          expect_counterexample=expect_counterexample, pinned=pinned,
+                          data_gen=first if data_trials else None, data_trials=data_trials)
+            _SUITES.append((group or prefix, pos, suite))
+        return build
+    return register
 
 
 def _inst(key: str, cfg: SuiteConfig):
@@ -140,13 +179,21 @@ def _inst(key: str, cfg: SuiteConfig):
     return get_instance(key)
 
 
-# ---------------------------------------------------------------------------
-# generators and checks, one family per invariant cluster
-# ---------------------------------------------------------------------------
+def _triple_inputs(inst, name, tr, suffix=""):
+    """Inputs `{name}t{suffix}`, `{name}b{suffix}` and `{name}z{suffix}` (as
+    its identity) of the triple `tr`; `_triple_from_inputs` rebuilds it."""
+    return {f"{name}t{suffix}": tr.t, f"{name}b{suffix}": tr.b,
+            f"{name}z{suffix}": inst.identity(tr.z)}
 
 
-def _sized(cfg: SuiteConfig, cap: int) -> int:
-    return min(cfg.max_dim, cap)
+def _triple_from_inputs(inputs, name, dom, cod, suffix=""):
+    return ThickTriple(dom=dom, cod=cod, z=inputs[f"{name}z{suffix}"].source,
+                       t=inputs[f"{name}t{suffix}"], b=inputs[f"{name}b{suffix}"])
+
+
+# ---------------------------------------------------------------------------
+# generators and checks, one family per invariant cluster, in registry order
+# ---------------------------------------------------------------------------
 
 
 def _gen_chain_objects(inst, rng: Stream, cfg: SuiteConfig, count: int, prefix: str):
@@ -159,7 +206,20 @@ def _gen_chain_objects(inst, rng: Stream, cfg: SuiteConfig, count: int, prefix: 
     return [gen_object(inst, rng, cfg.max_dim, cfg.max_degree) for _ in range(count)]
 
 
-def suite_core_laws(key: str) -> Suite:
+def _gen_same_parity(inst, rng: Stream, cfg: SuiteConfig, *prefixes):
+    """One object per prefix; in rbord1 they share one parity, so triples
+    and morphisms exist between any two.  Unlike `_gen_chain_objects`, each
+    size is drawn just before its points."""
+    if inst.instance_id == "rbord1":
+        par = rng.randint(0, 1)
+        return [gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix=p)
+                for p in prefixes]
+    return [gen_object(inst, rng, cfg.max_dim, cfg.max_degree) for _ in prefixes]
+
+
+@family("core.laws", "core.laws", "associativity, unit laws, interchange, strict unit",
+        ALL, group="all instances")
+def core_laws(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         a, b, c, d = _gen_chain_objects(inst, rng, cfg, 4, "a")
@@ -196,16 +256,12 @@ def suite_core_laws(key: str) -> Suite:
             return False, "strict unit failed"
         return True, ""
 
-    return Suite(
-        suite_id=f"core.laws.{key}",
-        tag="core.laws",
-        description="associativity, unit laws, interchange, strict unit",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_core_naturality(key: str) -> Suite:
+@family("core.naturality", "core.naturality", "naturality of the switching isomorphism",
+        ALL, group="all instances")
+def core_naturality(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         x1, x2 = _gen_chain_objects(inst, rng, cfg, 2, "x")
@@ -222,42 +278,13 @@ def suite_core_naturality(key: str) -> Suite:
         rhs = inst.compose(inst.tensor(h, g), inst.switching(g.source, h.source))
         return inst.mor_equal(lhs, rhs), "naturality square broken"
 
-    return Suite(
-        suite_id=f"core.naturality.{key}",
-        tag="core.naturality",
-        description="naturality of the switching isomorphism",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_core_symmetry(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        return {"x": inst.identity(x), "y": inst.identity(y)}
-
-    def check(inputs):
-        xi, yi = inputs["x"], inputs["y"]
-        inst = get_instance(xi.instance_id)
-        x, y = xi.source, yi.source
-        both = inst.compose(inst.switching(y, x), inst.switching(x, y))
-        return (
-            inst.mor_equal(both, inst.identity(inst.tensor_obj(x, y))),
-            "switching is not involutive",
-        )
-
-    return Suite(
-        suite_id=f"core.symmetry.{key}",
-        tag="core.symmetry",
-        description="s(Y,X) . s(X,Y) = id in symmetric instances",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_whtr_welldef(key: str) -> Suite:
+@family("whtr.welldef", "whtr.welldef",
+        "psi and tr_hat are invariant under slides of representatives",
+        ALL, group="all instances")
+def whtr_welldef(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         if inst.instance_id == "rbord1":
@@ -294,315 +321,75 @@ def suite_whtr_welldef(key: str) -> Suite:
             return False, "tr_hat not slide-invariant"
         return True, ""
 
-    return Suite(
-        suite_id=f"whtr.welldef.{key}",
-        tag="whtr.welldef",
-        description="psi and tr_hat are invariant under slides of representatives",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_whtr_pad(key: str) -> Suite:
+def _gen_triple_and_back(key):
+    """The generator of a triple over (X, Y) and a morphism Y -> X."""
     def gen(cfg, rng):
         inst = _inst(key, cfg)
-        x, tr = gen_endo_pair(inst, rng, cfg.max_dim, cfg.max_degree)
-        w = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        junk = gen_matrix_mor(inst, inst.tensor_obj(w, x), inst.unit_object(), rng)
-        return {"t": tr.t, "b": tr.b, "z": inst.identity(tr.z), "x": inst.identity(x),
-                "w": inst.identity(w), "junk": junk}
-
-    def check(inputs):
-        inst = get_instance(inputs["t"].instance_id)
-        x = inputs["x"].source
-        tr = ThickTriple(dom=x, cod=x, z=inputs["z"].source, t=inputs["t"], b=inputs["b"])
-        padded = pad_thickener(tr, inputs["w"].source, inputs["junk"])
-        if not inst.mor_equal(psi(padded), psi(tr)):
-            return False, "psi changed under padding"
-        if not inst.mor_equal(tr_hat(padded), tr_hat(tr)):
-            return False, "tr_hat changed under padding"
-        return True, ""
-
-    return Suite(
-        suite_id=f"whtr.pad.{key}",
-        tag="whtr.welldef",
-        description="padding the thickening object with junk changes nothing",
-        gen=gen,
-        check=check,
-    )
-
-
-def _gen_triple_and_back(inst, rng, cfg):
-    """A triple over (X, Y) and a morphism Y -> X."""
-    if inst.instance_id == "rbord1":
-        par = rng.randint(0, 1)
-        x = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="x")
-        y = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="y")
-    else:
-        x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-    f_hat = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    g = gen_morphism(inst, y, x, rng)
-    return x, y, f_hat, g
-
-
-def suite_whtr_1(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        x, y, f_hat, g = _gen_triple_and_back(inst, rng, cfg)
-        return {"t": f_hat.t, "b": f_hat.b, "z": inst.identity(f_hat.z),
+        x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
+        f_hat = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
+        g = gen_morphism(inst, y, x, rng)
+        return {**_triple_inputs(inst, "", f_hat),
                 "x": inst.identity(x), "y": inst.identity(y), "g": g}
 
+    return gen
+
+
+@family("whtr.1", "whtr.1", "symmetry of the thickened trace under cyclic exchange",
+        ALL, group="all instances")
+def whtr_1(key):
     def check(inputs):
         inst = get_instance(inputs["t"].instance_id)
-        f_hat = ThickTriple(dom=inputs["x"].source, cod=inputs["y"].source,
-                            z=inputs["z"].source, t=inputs["t"], b=inputs["b"])
+        f_hat = _triple_from_inputs(inputs, "", inputs["x"].source, inputs["y"].source)
         g = inputs["g"]
         lhs = tr_hat(pre_compose(f_hat, g))
         rhs = tr_hat(post_compose(g, f_hat))
         return inst.mor_equal(lhs, rhs), "tr_hat(hat(f).g) != tr_hat(g.hat(f))"
 
-    return Suite(
-        suite_id=f"whtr.1.{key}",
-        tag="whtr.1",
-        description="symmetry of the thickened trace under cyclic exchange",
-        gen=gen,
-        check=check,
-    )
+    return _gen_triple_and_back(key), check
 
 
-def suite_main2_1(key: str) -> Suite:
+@family("main2.1", "main2.1", "symmetry of the trace pairing", ALL, group="all instances")
+def main2_1(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
-        if inst.instance_id == "rbord1":
-            par = rng.randint(0, 1)
-            x = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="x")
-            y = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="y")
-        else:
-            x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-            y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
         f_hat = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
         g_hat = gen_triple(inst, y, x, rng, cfg.max_dim, cfg.max_degree)
-        return {"ft": f_hat.t, "fb": f_hat.b, "fz": inst.identity(f_hat.z),
-                "gt": g_hat.t, "gb": g_hat.b, "gz": inst.identity(g_hat.z),
+        return {**_triple_inputs(inst, "f", f_hat), **_triple_inputs(inst, "g", g_hat),
                 "x": inst.identity(x), "y": inst.identity(y)}
 
     def check(inputs):
         inst = get_instance(inputs["ft"].instance_id)
         x, y = inputs["x"].source, inputs["y"].source
-        f_hat = ThickTriple(dom=x, cod=y, z=inputs["fz"].source, t=inputs["ft"], b=inputs["fb"])
-        g_hat = ThickTriple(dom=y, cod=x, z=inputs["gz"].source, t=inputs["gt"], b=inputs["gb"])
+        f_hat = _triple_from_inputs(inputs, "f", x, y)
+        g_hat = _triple_from_inputs(inputs, "g", y, x)
         lhs = trace_pairing(f_hat, psi(g_hat))
         rhs = trace_pairing(g_hat, psi(f_hat))
         return inst.mor_equal(lhs, rhs), "tr(f,g) != tr(g,f)"
 
-    return Suite(
-        suite_id=f"main2.1.{key}",
-        tag="main2.1",
-        description="symmetry of the trace pairing",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_pairing_trace(key: str) -> Suite:
+@family("lem.witness", "whtr.witness",
+        "hat(f1).f2 and f1.hat(f2) are one explicit slide apart", ALL, group="all instances")
+def lem_witness(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
-        x, y, f_hat, g = _gen_triple_and_back(inst, rng, cfg)
-        return {"t": f_hat.t, "b": f_hat.b, "z": inst.identity(f_hat.z),
-                "x": inst.identity(x), "y": inst.identity(y), "g": g}
-
-    def check(inputs):
-        inst = get_instance(inputs["t"].instance_id)
-        f_hat = ThickTriple(dom=inputs["x"].source, cod=inputs["y"].source,
-                            z=inputs["z"].source, t=inputs["t"], b=inputs["b"])
-        g = inputs["g"]
-        pair = trace_pairing(f_hat, g)
-        composite = inst.compose(psi(f_hat), g)
-        via_trace = tr_hat(canonical_thickener(composite))
-        return inst.mor_equal(pair, via_trace), "tr(f,g) != tr(f.g)"
-
-    return Suite(
-        suite_id=f"pairing.trace.{key}",
-        tag="main2.1",
-        description="the pairing equals the categorical trace of the composite",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_whtr_2(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        x, tr1 = gen_endo_pair(inst, rng, cfg.max_dim, cfg.max_degree)
-        tr2 = gen_triple(inst, x, x, rng, cfg.max_dim, cfg.max_degree)
-        return {"t1": tr1.t, "b1": tr1.b, "z1": inst.identity(tr1.z),
-                "t2": tr2.t, "b2": tr2.b, "z2": inst.identity(tr2.z),
-                "x": inst.identity(x)}
-
-    def check(inputs):
-        inst = get_instance(inputs["t1"].instance_id)
-        x = inputs["x"].source
-        tr1 = ThickTriple(dom=x, cod=x, z=inputs["z1"].source, t=inputs["t1"], b=inputs["b1"])
-        tr2 = ThickTriple(dom=x, cod=x, z=inputs["z2"].source, t=inputs["t2"], b=inputs["b2"])
-        total = add_triples(tr1, tr2)
-        if not inst.mor_equal(psi(total), inst.add_mor(psi(tr1), psi(tr2))):
-            return False, "psi is not additive"
-        if not inst.mor_equal(tr_hat(total), inst.add_mor(tr_hat(tr1), tr_hat(tr2))):
-            return False, "tr_hat is not additive"
-        cancel = add_triples(tr1, negate_triple(tr1))
-        if not psi(cancel).payload.is_zero():
-            return False, "tr + (-tr) does not vanish under psi"
-        if not tr_hat(cancel).payload.is_zero():
-            return False, "tr + (-tr) does not vanish under tr_hat"
-        zt = zero_triple(inst, x, x)
-        with_zero = add_triples(tr1, zt)
-        if not inst.mor_equal(psi(with_zero), psi(tr1)):
-            return False, "zero triple changes psi"
-        if not inst.mor_equal(tr_hat(with_zero), tr_hat(tr1)):
-            return False, "zero triple changes tr_hat"
-        return True, ""
-
-    return Suite(
-        suite_id=f"whtr.2.{key}",
-        tag="whtr.2",
-        description="additivity of psi and tr_hat; abelian-group structure",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_main2_2(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-        tr1 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-        tr2 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-        g1 = gen_matrix_mor(inst, y, x, rng)
-        g2 = gen_matrix_mor(inst, y, x, rng)
-        return {"t1": tr1.t, "b1": tr1.b, "z1": inst.identity(tr1.z),
-                "t2": tr2.t, "b2": tr2.b, "z2": inst.identity(tr2.z),
-                "x": inst.identity(x), "y": inst.identity(y), "g1": g1, "g2": g2}
-
-    def check(inputs):
-        inst = get_instance(inputs["t1"].instance_id)
-        x, y = inputs["x"].source, inputs["y"].source
-        tr1 = ThickTriple(dom=x, cod=y, z=inputs["z1"].source, t=inputs["t1"], b=inputs["b1"])
-        tr2 = ThickTriple(dom=x, cod=y, z=inputs["z2"].source, t=inputs["t2"], b=inputs["b2"])
-        g1, g2 = inputs["g1"], inputs["g2"]
-        left = trace_pairing(add_triples(tr1, tr2), g1)
-        right = inst.add_mor(trace_pairing(tr1, g1), trace_pairing(tr2, g1))
-        if not inst.mor_equal(left, right):
-            return False, "pairing not additive in the first slot"
-        left = trace_pairing(tr1, inst.add_mor(g1, g2))
-        right = inst.add_mor(trace_pairing(tr1, g1), trace_pairing(tr1, g2))
-        if not inst.mor_equal(left, right):
-            return False, "pairing not additive in the second slot"
-        return True, ""
-
-    return Suite(
-        suite_id=f"main2.2.{key}",
-        tag="main2.2",
-        description="bilinearity of the trace pairing",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_whtr_3(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        dim_cap = _sized(cfg, 3)
-        x1 = gen_object(inst, rng, dim_cap, cfg.max_degree)
-        x2 = gen_object(inst, rng, dim_cap, cfg.max_degree)
-        tr1 = gen_triple(inst, x1, x1, rng, dim_cap, cfg.max_degree)
-        tr2 = gen_triple(inst, x2, x2, rng, dim_cap, cfg.max_degree)
-        return {"t1": tr1.t, "b1": tr1.b, "z1": inst.identity(tr1.z),
-                "t2": tr2.t, "b2": tr2.b, "z2": inst.identity(tr2.z),
-                "x1": inst.identity(x1), "x2": inst.identity(x2)}
-
-    def check(inputs):
-        inst = get_instance(inputs["t1"].instance_id)
-        x1, x2 = inputs["x1"].source, inputs["x2"].source
-        tr1 = ThickTriple(dom=x1, cod=x1, z=inputs["z1"].source, t=inputs["t1"], b=inputs["b1"])
-        tr2 = ThickTriple(dom=x2, cod=x2, z=inputs["z2"].source, t=inputs["t2"], b=inputs["b2"])
-        tt = tensor_triples(tr1, tr2)
-        if not inst.mor_equal(psi(tt), inst.tensor(psi(tr1), psi(tr2))):
-            return False, "psi is not multiplicative"
-        if not inst.mor_equal(tr_hat(tt), inst.compose(tr_hat(tr1), tr_hat(tr2))):
-            return False, "tr_hat is not multiplicative"
-        return True, ""
-
-    return Suite(
-        suite_id=f"whtr.3.{key}",
-        tag="whtr.3",
-        description="multiplicativity of psi and tr_hat under the triple tensor",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_main2_3(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        dim_cap = _sized(cfg, 3)
-        objs = [gen_object(inst, rng, dim_cap, cfg.max_degree) for _ in range(4)]
-        x1, y1, x2, y2 = objs
-        tr1 = gen_triple(inst, x1, y1, rng, dim_cap, cfg.max_degree)
-        tr2 = gen_triple(inst, x2, y2, rng, dim_cap, cfg.max_degree)
-        g1 = gen_matrix_mor(inst, y1, x1, rng)
-        g2 = gen_matrix_mor(inst, y2, x2, rng)
-        return {"t1": tr1.t, "b1": tr1.b, "z1": inst.identity(tr1.z),
-                "t2": tr2.t, "b2": tr2.b, "z2": inst.identity(tr2.z),
-                "x1": inst.identity(x1), "y1": inst.identity(y1),
-                "x2": inst.identity(x2), "y2": inst.identity(y2),
-                "g1": g1, "g2": g2}
-
-    def check(inputs):
-        inst = get_instance(inputs["t1"].instance_id)
-        tr1 = ThickTriple(dom=inputs["x1"].source, cod=inputs["y1"].source,
-                          z=inputs["z1"].source, t=inputs["t1"], b=inputs["b1"])
-        tr2 = ThickTriple(dom=inputs["x2"].source, cod=inputs["y2"].source,
-                          z=inputs["z2"].source, t=inputs["t2"], b=inputs["b2"])
-        g1, g2 = inputs["g1"], inputs["g2"]
-        lhs = trace_pairing(tensor_triples(tr1, tr2), inst.tensor(g1, g2))
-        rhs = inst.compose(trace_pairing(tr1, g1), trace_pairing(tr2, g2))
-        return inst.mor_equal(lhs, rhs), "tr(f1(x)f2, g1(x)g2) != tr(f1,g1).tr(f2,g2)"
-
-    return Suite(
-        suite_id=f"main2.3.{key}",
-        tag="main2.3",
-        description="multiplicativity of the trace pairing",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_lem_witness(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        if inst.instance_id == "rbord1":
-            par = rng.randint(0, 1)
-            u = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="u")
-            x = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="x")
-            y = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="y")
-        else:
-            u = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-            x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-            y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        u, x, y = _gen_same_parity(inst, rng, cfg, "u", "x", "y")
         tr1 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree, z_prefix="z")
         tr2 = gen_triple(inst, u, x, rng, cfg.max_dim, cfg.max_degree, z_prefix="w")
-        return {"t1": tr1.t, "b1": tr1.b, "z1": inst.identity(tr1.z),
-                "t2": tr2.t, "b2": tr2.b, "z2": inst.identity(tr2.z),
+        return {**_triple_inputs(inst, "", tr1, suffix="1"),
+                **_triple_inputs(inst, "", tr2, suffix="2"),
                 "u": inst.identity(u), "x": inst.identity(x), "y": inst.identity(y)}
 
     def check(inputs):
         inst = get_instance(inputs["t1"].instance_id)
-        tr1 = ThickTriple(dom=inputs["x"].source, cod=inputs["y"].source,
-                          z=inputs["z1"].source, t=inputs["t1"], b=inputs["b1"])
-        tr2 = ThickTriple(dom=inputs["u"].source, cod=inputs["x"].source,
-                          z=inputs["z2"].source, t=inputs["t2"], b=inputs["b2"])
+        u, x, y = (inputs[k].source for k in "uxy")
+        tr1 = _triple_from_inputs(inputs, "", x, y, suffix="1")
+        tr2 = _triple_from_inputs(inputs, "", u, x, suffix="2")
         w = hat_comp_witness(tr1, tr2)
         if not w.holds():
             return False, "witness equations fail"
@@ -611,50 +398,34 @@ def suite_lem_witness(key: str) -> Suite:
             return False, "witnessed triples do not factor the composite"
         return True, ""
 
-    return Suite(
-        suite_id=f"lem.witness.{key}",
-        tag="whtr.witness",
-        description="hat(f1).f2 and f1.hat(f2) are one explicit slide apart",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_vect_rank() -> Suite:
+@family("core.symmetry", "core.symmetry", "s(Y,X) . s(X,Y) = id in symmetric instances",
+        ("finvect", "supervect"), group="symmetric")
+def core_symmetry(key):
     def gen(cfg, rng):
-        inst = get_instance("finvect")
-        x = gen_object(inst, rng, cfg.max_dim, 0)
-        y = gen_object(inst, rng, cfg.max_dim, 0)
-        return {"f": gen_matrix_mor(inst, x, y, rng)}
+        inst = _inst(key, cfg)
+        x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        return {"x": inst.identity(x), "y": inst.identity(y)}
 
     def check(inputs):
-        f = inputs["f"]
-        inst = get_instance("finvect")
-        t = phi_inv(f)
-        if not inst.mor_equal(phi(t, f.source), f):
-            return False, "phi . phi_inv is not the identity"
-        # rank-one images: a basis element of Y (x) X* maps to a matrix unit
-        nx, ny = len(f.source.payload), len(f.target.payload)
-        if nx and ny:
-            i, j = 0, nx - 1
-            target = inst.tensor_obj(f.target, inst.dual_obj(f.source))
-            basis = inst.mor(inst.unit_object(), target,
-                             RatMatrix(ny * nx, 1, {(i * nx + j, 0): 1}))
-            unit_matrix = inst.mor(f.source, f.target, RatMatrix(ny, nx, {(i, j): 1}))
-            if not inst.mor_equal(phi(basis, f.source), unit_matrix):
-                return False, "phi of a basis tensor is not a matrix unit"
-        return True, ""
+        xi, yi = inputs["x"], inputs["y"]
+        inst = get_instance(xi.instance_id)
+        x, y = xi.source, yi.source
+        both = inst.compose(inst.switching(y, x), inst.switching(x, y))
+        return (
+            inst.mor_equal(both, inst.identity(inst.tensor_obj(x, y))),
+            "switching is not involutive",
+        )
 
-    return Suite(
-        suite_id="vect.rank.finvect",
-        tag="vect.1",
-        description="the image of phi is every (finite-rank) linear map",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_vect_injective(key: str) -> Suite:
+@family("vect.injective", "vect.2", "phi (hence psi) is injective: phi(t) = 0 iff t = 0",
+        ("finvect", "supervect"), group="symmetric")
+def vect_injective(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
@@ -676,40 +447,254 @@ def suite_vect_injective(key: str) -> Suite:
                 return False, "inconsistent zero test"
         return True, ""
 
-    return Suite(
-        suite_id=f"vect.injective.{key}",
-        tag="vect.2",
-        description="phi (hence psi) is injective: phi(t) = 0 iff t = 0",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_vect_trace() -> Suite:
+@family("dual.trace", "dual.2",
+        "trace of the canonical thickener matches the classical value",
+        ("finvect", "supervect"), group="symmetric")
+def dual_trace(key):
     def gen(cfg, rng):
-        inst = get_instance("finvect")
+        inst = _inst(key, cfg)
+        x = gen_object(inst, rng, min(cfg.max_dim + 1, 5), cfg.max_degree)
+        return {"f": gen_matrix_mor(inst, x, x, rng)}
+
+    def check(inputs):
+        f = inputs["f"]
+        inst = get_instance(f.instance_id)
+        got = inst.scalar_value(tr_hat(canonical_thickener(f)))
+        if inst.instance_id == "supervect":
+            want = inst.super_trace(f)
+            label = "super trace"
+        else:
+            want = inst.classical_trace(f)
+            label = "classical trace"
+        return got == want, f"categorical {rat_str(got)} != {label} {rat_str(want)}"
+
+    return gen, check
+
+
+@family("whtr.pad", "whtr.welldef", "padding the thickening object with junk changes nothing",
+        MATRIX, group="matrix")
+def whtr_pad(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        x, tr = gen_endo_pair(inst, rng, cfg.max_dim, cfg.max_degree)
+        w = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        junk = gen_matrix_mor(inst, inst.tensor_obj(w, x), inst.unit_object(), rng)
+        return {**_triple_inputs(inst, "", tr), "x": inst.identity(x),
+                "w": inst.identity(w), "junk": junk}
+
+    def check(inputs):
+        inst = get_instance(inputs["t"].instance_id)
+        x = inputs["x"].source
+        tr = _triple_from_inputs(inputs, "", x, x)
+        padded = pad_thickener(tr, inputs["w"].source, inputs["junk"])
+        if not inst.mor_equal(psi(padded), psi(tr)):
+            return False, "psi changed under padding"
+        if not inst.mor_equal(tr_hat(padded), tr_hat(tr)):
+            return False, "tr_hat changed under padding"
+        return True, ""
+
+    return gen, check
+
+
+@family("pairing.trace", "main2.1", "the pairing equals the categorical trace of the composite",
+        MATRIX, group="matrix")
+def pairing_trace(key):
+    def check(inputs):
+        inst = get_instance(inputs["t"].instance_id)
+        f_hat = _triple_from_inputs(inputs, "", inputs["x"].source, inputs["y"].source)
+        g = inputs["g"]
+        pair = trace_pairing(f_hat, g)
+        composite = inst.compose(psi(f_hat), g)
+        via_trace = tr_hat(canonical_thickener(composite))
+        return inst.mor_equal(pair, via_trace), "tr(f,g) != tr(f.g)"
+
+    return _gen_triple_and_back(key), check
+
+
+@family("whtr.2", "whtr.2", "additivity of psi and tr_hat; abelian-group structure",
+        MATRIX, group="matrix")
+def whtr_2(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        x, tr1 = gen_endo_pair(inst, rng, cfg.max_dim, cfg.max_degree)
+        tr2 = gen_triple(inst, x, x, rng, cfg.max_dim, cfg.max_degree)
+        return {**_triple_inputs(inst, "", tr1, suffix="1"),
+                **_triple_inputs(inst, "", tr2, suffix="2"), "x": inst.identity(x)}
+
+    def check(inputs):
+        inst = get_instance(inputs["t1"].instance_id)
+        x = inputs["x"].source
+        tr1 = _triple_from_inputs(inputs, "", x, x, suffix="1")
+        tr2 = _triple_from_inputs(inputs, "", x, x, suffix="2")
+        total = add_triples(tr1, tr2)
+        if not inst.mor_equal(psi(total), inst.add_mor(psi(tr1), psi(tr2))):
+            return False, "psi is not additive"
+        if not inst.mor_equal(tr_hat(total), inst.add_mor(tr_hat(tr1), tr_hat(tr2))):
+            return False, "tr_hat is not additive"
+        cancel = add_triples(tr1, negate_triple(tr1))
+        if not psi(cancel).payload.is_zero():
+            return False, "tr + (-tr) does not vanish under psi"
+        if not tr_hat(cancel).payload.is_zero():
+            return False, "tr + (-tr) does not vanish under tr_hat"
+        zt = zero_triple(inst, x, x)
+        with_zero = add_triples(tr1, zt)
+        if not inst.mor_equal(psi(with_zero), psi(tr1)):
+            return False, "zero triple changes psi"
+        if not inst.mor_equal(tr_hat(with_zero), tr_hat(tr1)):
+            return False, "zero triple changes tr_hat"
+        return True, ""
+
+    return gen, check
+
+
+@family("main2.2", "main2.2", "bilinearity of the trace pairing", MATRIX, group="matrix")
+def main2_2(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
+        tr1 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
+        tr2 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
+        g1 = gen_matrix_mor(inst, y, x, rng)
+        g2 = gen_matrix_mor(inst, y, x, rng)
+        return {**_triple_inputs(inst, "", tr1, suffix="1"),
+                **_triple_inputs(inst, "", tr2, suffix="2"),
+                "x": inst.identity(x), "y": inst.identity(y), "g1": g1, "g2": g2}
+
+    def check(inputs):
+        inst = get_instance(inputs["t1"].instance_id)
+        x, y = inputs["x"].source, inputs["y"].source
+        tr1 = _triple_from_inputs(inputs, "", x, y, suffix="1")
+        tr2 = _triple_from_inputs(inputs, "", x, y, suffix="2")
+        g1, g2 = inputs["g1"], inputs["g2"]
+        left = trace_pairing(add_triples(tr1, tr2), g1)
+        right = inst.add_mor(trace_pairing(tr1, g1), trace_pairing(tr2, g1))
+        if not inst.mor_equal(left, right):
+            return False, "pairing not additive in the first slot"
+        left = trace_pairing(tr1, inst.add_mor(g1, g2))
+        right = inst.add_mor(trace_pairing(tr1, g1), trace_pairing(tr1, g2))
+        if not inst.mor_equal(left, right):
+            return False, "pairing not additive in the second slot"
+        return True, ""
+
+    return gen, check
+
+
+@family("whtr.3", "whtr.3", "multiplicativity of psi and tr_hat under the triple tensor",
+        ("supervect", "graded"), group="multiplicative")
+def whtr_3(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        dim_cap = min(cfg.max_dim, 3)
+        x1 = gen_object(inst, rng, dim_cap, cfg.max_degree)
+        x2 = gen_object(inst, rng, dim_cap, cfg.max_degree)
+        tr1 = gen_triple(inst, x1, x1, rng, dim_cap, cfg.max_degree)
+        tr2 = gen_triple(inst, x2, x2, rng, dim_cap, cfg.max_degree)
+        return {**_triple_inputs(inst, "", tr1, suffix="1"),
+                **_triple_inputs(inst, "", tr2, suffix="2"),
+                "x1": inst.identity(x1), "x2": inst.identity(x2)}
+
+    def check(inputs):
+        inst = get_instance(inputs["t1"].instance_id)
+        x1, x2 = inputs["x1"].source, inputs["x2"].source
+        tr1 = _triple_from_inputs(inputs, "", x1, x1, suffix="1")
+        tr2 = _triple_from_inputs(inputs, "", x2, x2, suffix="2")
+        tt = tensor_triples(tr1, tr2)
+        if not inst.mor_equal(psi(tt), inst.tensor(psi(tr1), psi(tr2))):
+            return False, "psi is not multiplicative"
+        if not inst.mor_equal(tr_hat(tt), inst.compose(tr_hat(tr1), tr_hat(tr2))):
+            return False, "tr_hat is not multiplicative"
+        return True, ""
+
+    return gen, check
+
+
+@family("main2.3", "main2.3", "multiplicativity of the trace pairing",
+        ("supervect", "graded"), group="multiplicative")
+def main2_3(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        dim_cap = min(cfg.max_dim, 3)
+        x1, y1, x2, y2 = [gen_object(inst, rng, dim_cap, cfg.max_degree) for _ in range(4)]
+        tr1 = gen_triple(inst, x1, y1, rng, dim_cap, cfg.max_degree)
+        tr2 = gen_triple(inst, x2, y2, rng, dim_cap, cfg.max_degree)
+        g1 = gen_matrix_mor(inst, y1, x1, rng)
+        g2 = gen_matrix_mor(inst, y2, x2, rng)
+        return {**_triple_inputs(inst, "", tr1, suffix="1"),
+                **_triple_inputs(inst, "", tr2, suffix="2"),
+                "x1": inst.identity(x1), "y1": inst.identity(y1),
+                "x2": inst.identity(x2), "y2": inst.identity(y2),
+                "g1": g1, "g2": g2}
+
+    def check(inputs):
+        inst = get_instance(inputs["t1"].instance_id)
+        x1, y1, x2, y2 = (inputs[k].source for k in ("x1", "y1", "x2", "y2"))
+        tr1 = _triple_from_inputs(inputs, "", x1, y1, suffix="1")
+        tr2 = _triple_from_inputs(inputs, "", x2, y2, suffix="2")
+        g1, g2 = inputs["g1"], inputs["g2"]
+        lhs = trace_pairing(tensor_triples(tr1, tr2), inst.tensor(g1, g2))
+        rhs = inst.compose(trace_pairing(tr1, g1), trace_pairing(tr2, g2))
+        return inst.mor_equal(lhs, rhs), "tr(f1(x)f2, g1(x)g2) != tr(f1,g1).tr(f2,g2)"
+
+    return gen, check
+
+
+@family("vect.rank", "vect.1", "the image of phi is every (finite-rank) linear map",
+        ("finvect",))
+def vect_rank(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
+        x = gen_object(inst, rng, cfg.max_dim, 0)
+        y = gen_object(inst, rng, cfg.max_dim, 0)
+        return {"f": gen_matrix_mor(inst, x, y, rng)}
+
+    def check(inputs):
+        f = inputs["f"]
+        inst = get_instance(key)
+        t = phi_inv(f)
+        if not inst.mor_equal(phi(t, f.source), f):
+            return False, "phi . phi_inv is not the identity"
+        # rank-one images: a basis element of Y (x) X* maps to a matrix unit
+        nx, ny = len(f.source.payload), len(f.target.payload)
+        if nx and ny:
+            i, j = 0, nx - 1
+            target = inst.tensor_obj(f.target, inst.dual_obj(f.source))
+            basis = inst.mor(inst.unit_object(), target,
+                             RatMatrix(ny * nx, 1, {(i * nx + j, 0): 1}))
+            unit_matrix = inst.mor(f.source, f.target, RatMatrix(ny, nx, {(i, j): 1}))
+            if not inst.mor_equal(phi(basis, f.source), unit_matrix):
+                return False, "phi of a basis tensor is not a matrix unit"
+        return True, ""
+
+    return gen, check
+
+
+@family("vect.trace", "vect.3", "the categorical trace agrees with the diagonal sum",
+        ("finvect",))
+def vect_trace(key):
+    def gen(cfg, rng):
+        inst = _inst(key, cfg)
         x = gen_object(inst, rng, min(cfg.max_dim + 1, 5), 0)
         t = gen_matrix_mor(inst, inst.unit_object(),
                            inst.tensor_obj(x, inst.dual_obj(x)), rng)
         return {"t": t, "x": inst.identity(x)}
 
     def check(inputs):
-        inst = get_instance("finvect")
+        inst = get_instance(key)
         t, x = inputs["t"], inputs["x"].source
         got = inst.scalar_value(tr_hat(alpha(t, x)))
         want = inst.classical_trace(phi(t, x))
         return got == want, f"categorical {rat_str(got)} != classical {rat_str(want)}"
 
-    return Suite(
-        suite_id="vect.trace.finvect",
-        tag="vect.3",
-        description="the categorical trace agrees with the diagonal sum",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_dual_bijection(key: str) -> Suite:
+@family("dual.bijection", "dual.1",
+        "on dualizable objects psi is a bijection (witnessed section)", MATRIX)
+def dual_bijection(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
@@ -730,40 +715,7 @@ def suite_dual_bijection(key: str) -> Suite:
         back = psi(alpha(phi_inv(f), x))
         return inst.mor_equal(back, f), "psi . alpha . phi_inv is not the identity"
 
-    return Suite(
-        suite_id=f"dual.bijection.{key}",
-        tag="dual.1",
-        description="on dualizable objects psi is a bijection (witnessed section)",
-        gen=gen,
-        check=check,
-    )
-
-
-def suite_dual_trace(key: str) -> Suite:
-    def gen(cfg, rng):
-        inst = _inst(key, cfg)
-        x = gen_object(inst, rng, min(cfg.max_dim + 1, 5), cfg.max_degree)
-        return {"f": gen_matrix_mor(inst, x, x, rng)}
-
-    def check(inputs):
-        f = inputs["f"]
-        inst = get_instance(f.instance_id)
-        got = inst.scalar_value(tr_hat(canonical_thickener(f)))
-        if inst.instance_id == "supervect":
-            want = inst.super_trace(f)
-            label = "super trace"
-        else:
-            want = inst.classical_trace(f)
-            label = "classical trace"
-        return got == want, f"categorical {rat_str(got)} != {label} {rat_str(want)}"
-
-    return Suite(
-        suite_id=f"dual.trace.{key}",
-        tag="dual.2",
-        description="trace of the canonical thickener matches the classical value",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
 def _gen_oracle_object(inst, rng: Stream, cfg: SuiteConfig, *near):
@@ -777,7 +729,10 @@ def _gen_oracle_object(inst, rng: Stream, cfg: SuiteConfig, *near):
     return inst.obj(rng.shuffle(pool)[: rng.randint(1, cfg.max_dim)])
 
 
-def suite_kernel_oracle(key: str) -> Suite:
+@family("kernel.oracle", "kernel.oracle",
+        "contraction kernels of psi, pre_compose and post_compose"
+        " equal the whiskered reference composites", MATRIX)
+def kernel_oracle(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
         x = _gen_oracle_object(inst, rng, cfg)
@@ -795,8 +750,7 @@ def suite_kernel_oracle(key: str) -> Suite:
     def check(inputs):
         inst = get_instance(inputs["t"].instance_id)
         f, g = inputs["f"], inputs["g"]
-        tr = ThickTriple(dom=f.target, cod=g.source, z=inputs["z"].source,
-                         t=inputs["t"], b=inputs["b"])
+        tr = _triple_from_inputs(inputs, "", f.target, g.source)
         if not inst.mor_equal(psi(tr), psi_composite(tr)):
             return False, "psi kernel differs from the whiskered composite"
         if not inst.mor_equal(pre_compose(tr, f).b, pre_compose_composite(tr, f).b):
@@ -805,20 +759,14 @@ def suite_kernel_oracle(key: str) -> Suite:
             return False, "post_compose kernel differs from the whiskered composite"
         return True, ""
 
-    return Suite(
-        suite_id=f"kernel.oracle.{key}",
-        tag="kernel.oracle",
-        description="contraction kernels of psi, pre_compose and post_compose"
-                    " equal the whiskered reference composites",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_bal_relations() -> Suite:
+@family("balanced.relations", "bal.relations", "both braiding coherence relations hold exactly")
+def bal_relations(_key):
     def gen(cfg, rng):
         inst = _inst("graded", cfg)
-        xs = [gen_object(inst, rng, _sized(cfg, 3), cfg.max_degree) for _ in range(3)]
+        xs = [gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree) for _ in range(3)]
         return {"x": inst.identity(xs[0]), "y": inst.identity(xs[1]), "z": inst.identity(xs[2])}
 
     def check(inputs):
@@ -837,20 +785,16 @@ def suite_bal_relations() -> Suite:
             return False, "braiding relation (second) fails"
         return True, ""
 
-    return Suite(
-        suite_id="balanced.relations",
-        tag="bal.relations",
-        description="both braiding coherence relations hold exactly",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_bal_twist() -> Suite:
+@family("balanced.twist", "bal.twist",
+        "theta on a tensor equals the double braiding times the twists")
+def bal_twist(_key):
     def gen(cfg, rng):
         inst = _inst("graded", cfg)
-        x = gen_object(inst, rng, _sized(cfg, 3), cfg.max_degree)
-        y = gen_object(inst, rng, _sized(cfg, 3), cfg.max_degree)
+        x = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
+        y = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
         return {"x": inst.identity(x), "y": inst.identity(y)}
 
     def check(inputs):
@@ -864,20 +808,15 @@ def suite_bal_twist() -> Suite:
         )
         return inst.mor_equal(lhs, rhs), "twist equation fails"
 
-    return Suite(
-        suite_id="balanced.twist",
-        tag="bal.twist",
-        description="theta on a tensor equals the double braiding times the twists",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_bal_crossing() -> Suite:
+@family("balanced.crossing", "bal.crossing", "unit-valued boxes slide over and under crossings")
+def bal_crossing(_key):
     def gen(cfg, rng):
         inst = _inst("graded", cfg)
-        v = gen_object(inst, rng, _sized(cfg, 3), cfg.max_degree)
-        w = gen_object(inst, rng, _sized(cfg, 3), cfg.max_degree)
+        v = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
+        w = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
         f = gen_matrix_mor(inst, v, inst.unit_object(), rng)
         g = gen_matrix_mor(inst, inst.unit_object(), w, rng)
         return {"f": f, "g": g, "v": inst.identity(v), "w": inst.identity(w)}
@@ -899,24 +838,19 @@ def suite_bal_crossing() -> Suite:
             return False, "a map out of the unit does not slide through crossings"
         return True, ""
 
-    return Suite(
-        suite_id="balanced.crossing",
-        tag="bal.crossing",
-        description="unit-valued boxes slide over and under crossings",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
 def _gen_graded_endo_triples(cfg, rng):
-    """Endomorphism triples with guaranteed mixed-degree support: the
-    thickening object carries the negated degrees of X, so t has nonzero
-    degree-0 components at every degree of X and convention errors in the
-    crossings cannot hide behind vanishing blocks."""
+    """The inputs of the three graded controls: two endomorphism triples
+    with guaranteed mixed-degree support.  Each thickening object carries
+    the negated degrees of its X, so t has nonzero degree-0 components at
+    every degree of X and convention errors in the crossings cannot hide
+    behind vanishing blocks."""
     inst = _inst("graded", cfg)
     deg_cap = max(1, min(cfg.max_degree, 2))
-
-    def one(prefix_unused):
+    out = {}
+    for name, x_key in (("a", "x1"), ("b", "x2")):
         degs = sorted(
             rng.choice([d for d in range(-deg_cap, deg_cap + 1) if d != 0])
             for _ in range(rng.randint(1, 2))
@@ -926,87 +860,56 @@ def _gen_graded_endo_triples(cfg, rng):
         unit = inst.unit_object()
         t = gen_matrix_mor(inst, unit, inst.tensor_obj(x, z), rng, density=100)
         b = gen_matrix_mor(inst, inst.tensor_obj(z, x), unit, rng, density=100)
-        return x, ThickTriple(dom=x, cod=x, z=z, t=t, b=b)
-
-    x1, tr1 = one("a")
-    x2, tr2 = one("b")
-    return inst, x1, x2, tr1, tr2
+        out[x_key] = inst.identity(x)
+        out.update(_triple_inputs(inst, name, ThickTriple(dom=x, cod=x, z=z, t=t, b=b)))
+    return out
 
 
-def _triple_inputs(inst, name, tr):
-    return {f"{name}t": tr.t, f"{name}b": tr.b, f"{name}z": inst.identity(tr.z)}
-
-
-def _triple_from_inputs(inputs, name, dom, cod):
-    return ThickTriple(dom=dom, cod=cod, z=inputs[f"{name}z"].source,
-                       t=inputs[f"{name}t"], b=inputs[f"{name}b"])
+def _graded_endo_triples(inputs):
+    """The instance and the two triples of `_gen_graded_endo_triples`."""
+    x1, x2 = inputs["x1"].source, inputs["x2"].source
+    return (get_instance(inputs["at"].instance_id),
+            _triple_from_inputs(inputs, "a", x1, x1), _triple_from_inputs(inputs, "b", x2, x2))
 
 
 def _tr_hat_with(inst, tr: ThickTriple, switch):
     return inst.compose(tr.b, inst.compose(switch(tr.dom, tr.z), tr.t))
 
 
-def suite_negative_control() -> Suite:
-    def gen(cfg, rng):
-        inst, x1, x2, tr1, tr2 = _gen_graded_endo_triples(cfg, rng)
-        out = {"x1": inst.identity(x1), "x2": inst.identity(x2)}
-        out.update(_triple_inputs(inst, "a", tr1))
-        out.update(_triple_inputs(inst, "b", tr2))
-        return out
-
+@family("balanced.negative-control", "whtr.3",
+        "searches for a plain degree-swap tr_hat multiplicativity"
+        " counterexample; none exists, since the balanced switching"
+        " acts as the plain swap on all degree-0 vectors, so this"
+        " suite reports FAIL (see the Notes of docs/traceability.md)",
+        expect_counterexample=True)
+def negative_control(_key):
     def check(inputs):
         """ok means the multiplicativity identity HOLDS with the plain swap
         in tr_hat; the suite passes if some trial returns ok = False."""
-        inst = get_instance(inputs["at"].instance_id)
-        tr1 = _triple_from_inputs(inputs, "a", inputs["x1"].source, inputs["x1"].source)
-        tr2 = _triple_from_inputs(inputs, "b", inputs["x2"].source, inputs["x2"].source)
+        inst, tr1, tr2 = _graded_endo_triples(inputs)
         tt = tensor_triples(tr1, tr2)
         lhs = _tr_hat_with(inst, tt, inst.plain_swap)
         rhs = inst.compose(_tr_hat_with(inst, tr1, inst.plain_swap),
                            _tr_hat_with(inst, tr2, inst.plain_swap))
         return inst.mor_equal(lhs, rhs), "plain-swap tr_hat multiplicativity violated"
 
-    return Suite(
-        suite_id="balanced.negative-control",
-        tag="whtr.3",
-        description="searches for a plain degree-swap tr_hat multiplicativity"
-                    " counterexample; none exists, since the balanced switching"
-                    " acts as the plain swap on all degree-0 vectors, so this"
-                    " suite reports FAIL (see the Notes of docs/traceability.md)",
-        gen=gen,
-        check=check,
-        expect_counterexample=True,
-    )
+    return _gen_graded_endo_triples, check
 
 
-def suite_twistless_control() -> Suite:
-    def gen(cfg, rng):
-        inst, x1, x2, tr1, tr2 = _gen_graded_endo_triples(cfg, rng)
-        out = {"x1": inst.identity(x1), "x2": inst.identity(x2)}
-        out.update(_triple_inputs(inst, "a", tr1))
-        out.update(_triple_inputs(inst, "b", tr2))
-        return out
-
+@family("balanced.twistless-control", "whtr.3",
+        "dropping only the twist (switching := braiding) breaks"
+        " multiplicativity: the balanced hypothesis is necessary",
+        expect_counterexample=True, pinned="twistless_counterexample.json")
+def twistless_control(_key):
     def check(inputs):
-        inst = get_instance(inputs["at"].instance_id)
-        tr1 = _triple_from_inputs(inputs, "a", inputs["x1"].source, inputs["x1"].source)
-        tr2 = _triple_from_inputs(inputs, "b", inputs["x2"].source, inputs["x2"].source)
+        inst, tr1, tr2 = _graded_endo_triples(inputs)
         tt = tensor_triples(tr1, tr2)
         lhs = _tr_hat_with(inst, tt, inst.braiding_c)
         rhs = inst.compose(_tr_hat_with(inst, tr1, inst.braiding_c),
                            _tr_hat_with(inst, tr2, inst.braiding_c))
         return inst.mor_equal(lhs, rhs), "twistless tr_hat multiplicativity violated"
 
-    return Suite(
-        suite_id="balanced.twistless-control",
-        tag="whtr.3",
-        description="dropping only the twist (switching := braiding) breaks"
-                    " multiplicativity: the balanced hypothesis is necessary",
-        gen=gen,
-        check=check,
-        expect_counterexample=True,
-        pinned="twistless_counterexample.json",
-    )
+    return _gen_graded_endo_triples, check
 
 
 def tensor_triples_uniform_crossing(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
@@ -1027,50 +930,30 @@ def tensor_triples_uniform_crossing(tr1: ThickTriple, tr2: ThickTriple) -> Thick
                        cod=inst.tensor_obj(tr1.cod, tr2.cod), z=z, t=t, b=b)
 
 
-def suite_crossing_regression() -> Suite:
-    def gen(cfg, rng):
-        inst, x1, x2, tr1, tr2 = _gen_graded_endo_triples(cfg, rng)
-        out = {"x1": inst.identity(x1), "x2": inst.identity(x2)}
-        out.update(_triple_inputs(inst, "a", tr1))
-        out.update(_triple_inputs(inst, "b", tr2))
-        return out
-
+@family("graded.crossing-regression", "whtr.3",
+        "reading both crossings the same way breaks psi"
+        " multiplicativity at mixed degrees (pinned regression)",
+        expect_counterexample=True, pinned="crossing_counterexample.json")
+def crossing_regression(_key):
     def check(inputs):
-        inst = get_instance(inputs["at"].instance_id)
-        tr1 = _triple_from_inputs(inputs, "a", inputs["x1"].source, inputs["x1"].source)
-        tr2 = _triple_from_inputs(inputs, "b", inputs["x2"].source, inputs["x2"].source)
+        inst, tr1, tr2 = _graded_endo_triples(inputs)
         wrong = tensor_triples_uniform_crossing(tr1, tr2)
         ok = inst.mor_equal(psi(wrong), inst.tensor(psi(tr1), psi(tr2)))
         return ok, "uniform-crossing tensor breaks psi multiplicativity"
 
-    return Suite(
-        suite_id="graded.crossing-regression",
-        tag="whtr.3",
-        description="reading both crossings the same way breaks psi"
-                    " multiplicativity at mixed degrees (pinned regression)",
-        gen=gen,
-        check=check,
-        expect_counterexample=True,
-        pinned="crossing_counterexample.json",
-    )
+    return _gen_graded_endo_triples, check
 
 
-def suite_bord_thick() -> Suite:
+@family("bord.thick", "bord.1", "psi of every constructible triple is a genuine bordism")
+def bord_thick(_key):
     def gen(cfg, rng):
         inst = get_instance("rbord1")
-        par = rng.randint(0, 1)
-        x = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="x")
-        y = gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix="y")
+        x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
         tr = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-        return {"t": tr.t, "b": tr.b, "z": inst.identity(tr.z),
-                "x": inst.identity(x), "y": inst.identity(y)}
+        return {**_triple_inputs(inst, "", tr), "x": inst.identity(x), "y": inst.identity(y)}
 
     def check(inputs):
-        from .bordism import Bord
-
-        inst = get_instance("rbord1")
-        tr = ThickTriple(dom=inputs["x"].source, cod=inputs["y"].source,
-                         z=inputs["z"].source, t=inputs["t"], b=inputs["b"])
+        tr = _triple_from_inputs(inputs, "", inputs["x"].source, inputs["y"].source)
         value = psi(tr)
         if not isinstance(value.payload, Bord):
             return False, "psi produced an isometry"
@@ -1078,16 +961,11 @@ def suite_bord_thick() -> Suite:
             return False, "psi produced a thin arc"
         return True, ""
 
-    return Suite(
-        suite_id="bord.thick",
-        tag="bord.1",
-        description="psi of every constructible triple is a genuine bordism",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_bord_cuts() -> Suite:
+@family("bord.cuts", "bord.2", "independent cuts agree and are connected by the collar slide")
+def bord_cuts(_key):
     def gen(cfg, rng):
         inst = get_instance("rbord1")
         x = gen_point_set(inst, rng, rng.randint(1, cfg.max_dim), prefix="x")
@@ -1112,16 +990,11 @@ def suite_bord_cuts() -> Suite:
             return False, "connecting collar is not a valid slide"
         return True, ""
 
-    return Suite(
-        suite_id="bord.cuts",
-        tag="bord.2",
-        description="independent cuts agree and are connected by the collar slide",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_bord_glue() -> Suite:
+@family("bord.glue", "bord.3", "the categorical trace is the glued-up closed bordism")
+def bord_glue(_key):
     def gen(cfg, rng):
         inst = get_instance("rbord1")
         x = gen_point_set(inst, rng, rng.randint(1, cfg.max_dim), prefix="x")
@@ -1136,16 +1009,12 @@ def suite_bord_glue() -> Suite:
         rhs = tr_hat(inst.cut_thickener(sigma, r))
         return inst.mor_equal(lhs, rhs), "glue_trace != tr_hat . cut_thickener"
 
-    return Suite(
-        suite_id="bord.glue",
-        tag="bord.3",
-        description="the categorical trace is the glued-up closed bordism",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def suite_partition() -> Suite:
+@family("sec2.partition", "sec2.partition",
+        "the closed evaluation equals the trace pairing of the parts")
+def partition(_key):
     def gen(cfg, rng):
         inst = get_instance("rbord1")
         d = rng.choice([2, 2, 3])
@@ -1178,21 +1047,23 @@ def suite_partition() -> Suite:
         rhs = vect.scalar_value(trace_pairing(canonical_thickener(e2), e1))
         return lhs == rhs, f"partition value {rat_str(lhs)} != pairing {rat_str(rhs)}"
 
-    return Suite(
-        suite_id="sec2.partition",
-        tag="sec2.partition",
-        description="the closed evaluation equals the trace pairing of the parts",
-        gen=gen,
-        check=check,
-    )
+    return gen, check
 
 
-def _corpus_files():
+@functools.lru_cache(maxsize=None)
+def _corpus_files() -> tuple:
     root = resources.files("traced").joinpath("data/corpus")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".diag"))
+    return tuple(sorted(p.name for p in root.iterdir() if p.name.endswith(".diag")))
 
 
-def suite_dsl_corpus() -> Suite:
+@family("dsl.corpus", "dsl.corpus", "golden corpus round-trips and all program assertions hold",
+        data_trials=lambda cfg: len(_corpus_files()))
+def dsl_corpus(_key):
+    def data_gen(cfg, trial):
+        name = _corpus_files()[trial]
+        text = resources.files("traced").joinpath(f"data/corpus/{name}").read_text()
+        return {"name": name, "text": text}
+
     def check(inputs):
         from .dsl import parse, pretty, run_text
 
@@ -1205,19 +1076,7 @@ def suite_dsl_corpus() -> Suite:
             return False, "an assertion inside the program failed"
         return True, ""
 
-    def data_gen(cfg, trial):
-        name = _corpus_files()[trial]
-        text = resources.files("traced").joinpath(f"data/corpus/{name}").read_text()
-        return {"name": name, "text": text}
-
-    return Suite(
-        suite_id="dsl.corpus",
-        tag="dsl.corpus",
-        description="golden corpus round-trips and all program assertions hold",
-        gen=None,
-        check=check,
-        data_gen=data_gen,
-    )
+    return data_gen, check
 
 
 # ---------------------------------------------------------------------------
@@ -1225,108 +1084,48 @@ def suite_dsl_corpus() -> Suite:
 # ---------------------------------------------------------------------------
 
 
-def build_registry() -> dict:
-    suites = []
-    all_inst = ("finvect", "supervect", "graded", "rbord1")
-    matrix_inst = ("finvect", "supervect", "graded")
-    for key in all_inst:
-        suites.append(suite_core_laws(key))
-        suites.append(suite_core_naturality(key))
-        suites.append(suite_whtr_welldef(key))
-        suites.append(suite_whtr_1(key))
-        suites.append(suite_main2_1(key))
-        suites.append(suite_lem_witness(key))
-    for key in ("finvect", "supervect"):
-        suites.append(suite_core_symmetry(key))
-        suites.append(suite_vect_injective(key))
-        suites.append(suite_dual_trace(key))
-    for key in matrix_inst:
-        suites.append(suite_whtr_pad(key))
-        suites.append(suite_pairing_trace(key))
-        suites.append(suite_whtr_2(key))
-        suites.append(suite_main2_2(key))
-    for key in ("supervect", "graded"):
-        suites.append(suite_whtr_3(key))
-        suites.append(suite_main2_3(key))
-    suites.append(suite_vect_rank())
-    suites.append(suite_vect_trace())
-    for key in matrix_inst:
-        suites.append(suite_dual_bijection(key))
-    for key in matrix_inst:
-        suites.append(suite_kernel_oracle(key))
-    suites.append(suite_bal_relations())
-    suites.append(suite_bal_twist())
-    suites.append(suite_bal_crossing())
-    suites.append(suite_negative_control())
-    suites.append(suite_twistless_control())
-    suites.append(suite_crossing_regression())
-    suites.append(suite_bord_thick())
-    suites.append(suite_bord_cuts())
-    suites.append(suite_bord_glue())
-    suites.append(suite_partition())
-    suites.append(suite_dsl_corpus())
-    return {s.suite_id: s for s in suites}
+def _registry() -> dict:
+    ordered = []
+    for _group, run in itertools.groupby(_SUITES, lambda entry: entry[0]):
+        ordered += sorted(run, key=lambda entry: entry[1])  # stable: key-major
+    return {suite.suite_id: suite for _group, _pos, suite in ordered}
 
 
-REGISTRY = build_registry()
-
-
-def _load_pinned(name: str) -> dict:
-    text = resources.files("traced").joinpath(f"data/{name}").read_text()
-    return json.loads(text)
+REGISTRY = _registry()
 
 
 def run_one(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
+    """Run the trials of `suite`.  A trial's inputs come from `data_gen`
+    when the suite has one, else from `gen` on the trial's own stream.
+    Pinned inputs are checked first and do not count as trials."""
     start = time.perf_counter()
-    failures = 0
-    found = 0
-    counterexample = None
-
-    if suite.suite_id == "dsl.corpus":
-        files = _corpus_files()
-        trials = len(files)
-        for trial in range(trials):
-            inputs = suite.data_gen(cfg, trial)
-            ok, detail = suite.check(inputs)
-            if not ok:
-                failures += 1
-                if counterexample is None:
-                    counterexample = {"trial": trial, "detail": detail,
-                                      "inputs": serde.dump_inputs(inputs)}
-        passed = failures == 0
-        return SuiteResult(suite.suite_id, suite.tag, trials, failures, passed,
-                           False, 0, counterexample, time.perf_counter() - start)
-
     pinned_ok = True
     if suite.pinned is not None:
-        data = _load_pinned(suite.pinned)
-        inputs = serde.load_inputs(data["inputs"])
-        ok, _detail = suite.check(inputs)
+        text = resources.files("traced").joinpath(f"data/{suite.pinned}").read_text()
+        ok, _detail = suite.check(serde.load_inputs(json.loads(text)["inputs"]))
         pinned_ok = not ok  # the stored counterexample must still violate
 
-    for trial in range(cfg.trials):
-        rng = trial_stream(cfg.seed, suite.suite_id, trial)
-        inputs = suite.gen(cfg, rng)
-        ok, detail = suite.check(inputs)
-        if suite.expect_counterexample:
-            if not ok:
-                found += 1
-                if counterexample is None:
-                    counterexample = {"trial": trial, "detail": detail,
-                                      "inputs": serde.dump_inputs(inputs)}
+    trials = cfg.trials if suite.data_gen is None else suite.data_trials(cfg)
+    violations = 0
+    counterexample = None
+    for trial in range(trials):
+        if suite.data_gen is None:
+            inputs = suite.gen(cfg, trial_stream(cfg.seed, suite.suite_id, trial))
         else:
-            if not ok:
-                failures += 1
-                if counterexample is None:
-                    counterexample = {"trial": trial, "detail": detail,
-                                      "inputs": serde.dump_inputs(inputs)}
+            inputs = suite.data_gen(cfg, trial)
+        ok, detail = suite.check(inputs)
+        if not ok:
+            violations += 1
+            if counterexample is None:
+                counterexample = {"trial": trial, "detail": detail,
+                                  "inputs": serde.dump_inputs(inputs)}
 
     if suite.expect_counterexample:
-        passed = found >= 1 and pinned_ok
-        failures = 0 if passed else 1
+        passed = violations >= 1 and pinned_ok
+        failures, found = (0 if passed else 1), violations
     else:
-        passed = failures == 0
-    return SuiteResult(suite.suite_id, suite.tag, cfg.trials, failures, passed,
+        passed, failures, found = violations == 0, violations, 0
+    return SuiteResult(suite.suite_id, suite.tag, trials, failures, passed,
                        suite.expect_counterexample, found, counterexample,
                        time.perf_counter() - start)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
 from traced.cli import main
+from traced.suites import REGISTRY
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "traced" / "data" / "corpus"
 
@@ -54,7 +56,20 @@ def test_traced_seed_env(capsys, monkeypatch):
 def test_unknown_suite_errors(capsys):
     code, _out, err = run_cli(capsys, "check", "--suite", "nope.nothing", "--trials", "5")
     assert code == 2
-    assert "no suite matches" in err
+    assert err == "no suite matches 'nope.nothing'\n"
+
+
+def test_key_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
+    """Exit code 2 means unusable input only: a KeyError raised by a suite's
+    check is not reported as an unknown suite."""
+    sid = "core.laws.finvect"
+
+    def check(_inputs):
+        raise KeyError("raised inside the check")
+
+    monkeypatch.setitem(REGISTRY, sid, dataclasses.replace(REGISTRY[sid], check=check))
+    with pytest.raises(KeyError, match="raised inside the check"):
+        main(["check", "--suite", sid, "--trials", "1"])
 
 
 def test_negative_control_fails_and_twistless_passes(capsys):
@@ -167,10 +182,20 @@ def assert_input_error(code, out, err):
     assert err.count("\n") == 1 and err.strip()
 
 
-@pytest.mark.parametrize("q", ["1", "0", "-1", "x", "1/0"])
-def test_check_rejects_bad_q_before_running(capsys, q):
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--q", q, id=q) for q in ("1", "0", "-1", "x", "1/0")),
+    *(pytest.param("--trials", n, id=f"trials={n}") for n in ("0", "-3")),
+])
+def test_check_rejects_bad_q_before_running(capsys, flag, value):
+    """A bad --q or a --trials below 1 exits 2 with one stderr line."""
     assert_input_error(*run_cli(capsys, "check", "--suite", "core.laws.finvect",
-                                "--trials", "1", "--q", q))
+                                "--trials", "1", flag, value))
+
+
+def test_check_rejects_non_integer_traced_seed(capsys, monkeypatch):
+    monkeypatch.setenv("TRACED_SEED", "abc")
+    assert_input_error(*run_cli(capsys, "check", "--suite", "core.laws.finvect",
+                                "--trials", "1"))
 
 
 @pytest.mark.parametrize("content", [

@@ -3,6 +3,9 @@ import json
 import pathlib
 import re
 
+import pytest
+
+from traced.gens import trial_stream
 from traced.suites import REGISTRY, SuiteConfig, run_one, run_suite, replay_entry
 from traced import serde
 
@@ -129,13 +132,47 @@ PINNED_SUITES = (
     "balanced.twistless-control",
 )
 PINNED_REPORT_SHA256 = "d53845896cc99025f2a2b601a9b9c98a869758d56591c39c6d91463ce469406f"
+# Every registered suite, so that registry order, the corpus trial count and
+# every verdict enter the hashed bytes.
+ALL_SUITES_REPORT_SHA256 = "77ff36727dddd3231ad3928975eb5039e664664bafac9381873d345d84dc4951"
 
 
-def test_report_bytes_are_pinned():
-    """The canonical JSON that `traced check --format json` prints for this
-    config, at q = 3/2 with degrees up to 8, so that the switching scalars
-    q^{mn + m^2} reach high powers, hashes to a constant recorded before the
-    integer matrix core replaced the Fraction-dict storage."""
-    cfg = SuiteConfig(suites=PINNED_SUITES, seed=7, trials=10, max_dim=6, max_degree=8, q="3/2")
+@pytest.mark.parametrize("cfg, digest", [
+    pytest.param(SuiteConfig(suites=PINNED_SUITES, seed=7, trials=10, max_dim=6,
+                             max_degree=8, q="3/2"),
+                 PINNED_REPORT_SHA256, id="matrix-triples"),
+    pytest.param(SuiteConfig(seed=7, trials=5, q="3/2"), ALL_SUITES_REPORT_SHA256,
+                 id="all-suites"),
+])
+def test_report_bytes_are_pinned(cfg, digest):
+    """The canonical JSON that `traced check --format json` prints for each
+    config hashes to a constant recorded on earlier code.  The
+    matrix-triples case runs at q = 3/2 with degrees up to 8, so that the
+    switching scalars q^{mn + m^2} reach high powers; it was recorded before
+    the integer matrix core replaced the Fraction-dict storage.  The
+    all-suites case was recorded before the suites became declaratively
+    registered families with one trial loop."""
     text = json.dumps(run_suite(cfg).as_json(), indent=1, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+GENERATED_INPUTS_SHA256 = "63a31bcbe8dbe7c8cfc044bd49878b1c261d0d1ab625531f07a2d27acf240839"
+
+
+def test_generated_inputs_are_pinned():
+    """The serialized inputs of trials 0-4 of every registered suite hash to
+    a constant recorded before the suites became declaratively registered
+    families.  A passing suite's report never shows its inputs, so this is
+    what catches a reordered rng draw or a renamed input key, either of
+    which would stop older replay files from replaying."""
+    cfg = SuiteConfig(seed=7, q="3/2")
+    rows = []
+    for sid, suite in REGISTRY.items():
+        for trial in range(5):
+            if suite.data_gen is not None:
+                inputs = suite.data_gen(cfg, trial)
+            else:
+                inputs = suite.gen(cfg, trial_stream(cfg.seed, sid, trial))
+            rows.append([sid, trial, serde.dump_inputs(inputs)])
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_INPUTS_SHA256
