@@ -152,9 +152,6 @@ class RBord1(CategoryInstance):
         unit = self.unit_object()
         return self._normalize(unit, unit, Bord.make((), lengths))
 
-    def is_bordism(self, f: Morphism) -> bool:
-        return isinstance(f.payload, Bord)
-
     # category structure --------------------------------------------------------
 
     def identity(self, x: ObjectRef) -> Morphism:
@@ -370,9 +367,3 @@ class RBord1(CategoryInstance):
                     circles.append(total)
                     break
         return self.circles_mor(circles)
-
-
-def compose_rbord(g: Morphism, f: Morphism) -> Morphism:
-    from .core import get_instance
-
-    return get_instance("rbord1").compose(g, f)

@@ -14,6 +14,7 @@ growth under control.
 from __future__ import annotations
 
 import hashlib
+from math import lcm
 
 from .core import ObjectRef
 from .matrices import RatMatrix
@@ -57,12 +58,6 @@ class Stream:
     def fraction(self, max_num: int = 3, max_den: int = 3, signed: bool = True):
         num = self.randint(-max_num, max_num) if signed else self.randint(0, max_num)
         return rat(num, self.randint(1, max_den))
-
-    def nonzero_fraction(self, max_num: int = 3, max_den: int = 3):
-        while True:
-            v = self.fraction(max_num, max_den)
-            if v:
-                return v
 
 
 def trial_stream(seed: int, suite_id: str, trial: int) -> Stream:
@@ -111,16 +106,24 @@ def gen_point_set(inst, rng: Stream, size: int, prefix: str = "p") -> ObjectRef:
 
 
 def gen_matrix_mor(inst, x: ObjectRef, y: ObjectRef, rng: Stream, density: int = 70):
-    """Random degree-preserving sparse matrix with small rational entries."""
+    """Random degree-preserving sparse matrix with small rational entries.
+
+    Draws exactly as rng.chance(density, 100) followed by rng.fraction() per
+    degree-matching entry, but keeps each entry as an integer pair and puts
+    the nonzero ones over the lcm of their denominators."""
     sdeg, tdeg = x.payload, y.payload
-    ent = {}
-    for i in range(len(tdeg)):
-        for j in range(len(sdeg)):
-            if tdeg[i] == sdeg[j] and rng.chance(density, 100):
-                v = rng.fraction()
-                if v:
-                    ent[(i, j)] = v
-    return inst.mor(x, y, RatMatrix(len(tdeg), len(sdeg), ent))
+    randint = rng.randint
+    pairs = {}
+    for i, a in enumerate(tdeg):
+        for j, b in enumerate(sdeg):
+            if a == b and randint(1, 100) <= density:
+                n = randint(-3, 3)
+                d = randint(1, 3)
+                if n:
+                    pairs[(i, j)] = (n, d)
+    den = lcm(*[d for _, d in pairs.values()])
+    num = {k: n * (den // d) for k, (n, d) in pairs.items()}
+    return inst.mor(x, y, RatMatrix(len(tdeg), len(sdeg), num, den))
 
 
 def gen_bordism(inst, x: ObjectRef, y: ObjectRef, rng: Stream,

@@ -38,14 +38,14 @@ class GradedVect(MatrixCategory):
         self.q = q
         self.instance_id = f"graded(q={rat_str(q)})"
 
-    def _qpow(self, e: int):
-        return self.q ** e
-
     def _braid_scalar(self, a, b):
-        return self._qpow(a * b)
+        return self.q ** (a * b)
 
     def _twist_scalar(self, a):
-        return self._qpow(a * a)
+        return self.q ** (a * a)
+
+    def _switch_scalar(self, a, b):
+        return self.q ** (a * b + a * a)
 
     # objects --------------------------------------------------------------
 
@@ -74,7 +74,7 @@ class GradedVect(MatrixCategory):
         """Degree-blind swap x (x) y |-> y (x) x, no q scalar, no twist."""
         self._own_obj(x)
         self._own_obj(y)
-        return self._swap_matrix(x, y, lambda a, b: rat(1))
+        return self._swap_matrix(x, y, lambda a, b: 1)
 
     def mor_from_blocks(self, x: ObjectRef, y: ObjectRef, blocks: dict) -> Morphism:
         """Morphism from per-degree matrices {degree: rows}; off-degree

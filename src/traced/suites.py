@@ -1131,18 +1131,20 @@ def run_one(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
 
 
 def select_suites(cfg: SuiteConfig) -> list:
-    wanted = []
+    """The suites the patterns of cfg.suites name, each once, in order of first
+    appearance; a pattern that matches nothing raises KeyError."""
+    wanted = {}
     for pattern in cfg.suites:
         if pattern == "all":
-            return list(REGISTRY.values())
-        if pattern in REGISTRY:
-            wanted.append(REGISTRY[pattern])
-            continue
-        matches = [s for sid, s in REGISTRY.items() if sid.startswith(pattern)]
+            matches = list(REGISTRY)
+        elif pattern in REGISTRY:
+            matches = [pattern]
+        else:
+            matches = [sid for sid in REGISTRY if sid.startswith(pattern)]
         if not matches:
             raise KeyError(f"no suite matches {pattern!r}")
-        wanted.extend(matches)
-    return wanted
+        wanted.update(dict.fromkeys(matches))
+    return [REGISTRY[sid] for sid in wanted]
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

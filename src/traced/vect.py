@@ -15,6 +15,14 @@ indices row-major, which makes the monoidal structure strict on the nose:
 
 Duals reuse the same index set with negated degrees, so ev and coev are the
 plain index pairings 1 |-> sum_i e_i (x) e^i and e^i (x) e_j |-> delta_ij.
+
+Degree arithmetic works on whole objects: tensor_obj, dual_obj and the
+recovery of Y in phi build the integer degree tuple in one pass and hand it
+to one instance hook, _reduce_degrees, which maps it into the grading group
+(all zeros for FinVect, mod 2 for SuperVect, unchanged for GradedVect).
+Structural scalars are evaluated once per distinct degree pair: the
+switching s_{X,Y} scales the pair (m, n) by _switch_scalar(m, n), which is
+1 in FinVect, (-1)^{mn} in SuperVect and q^{mn + m^2} in GradedVect.
 """
 
 from __future__ import annotations
@@ -32,26 +40,26 @@ def dim(x: ObjectRef) -> int:
 class MatrixCategory(CategoryInstance):
     """Shared machinery for the matrix-backed instances.
 
-    Subclasses fix the degree arithmetic and the braiding/twist scalars;
-    everything else (composition, tensor, sums, duals) is generic.
+    Subclasses fix the degree reduction and the braiding/twist scalars
+    (plain ints where they are +-1); everything else (composition, tensor,
+    sums, duals) is generic.
     """
 
-    # degree hooks -------------------------------------------------------
+    # degree and scalar hooks ----------------------------------------------
 
-    def _deg_add(self, a: int, b: int) -> int:
-        return a + b
-
-    def _deg_sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def _deg_neg(self, a: int) -> int:
-        return -a
+    def _reduce_degrees(self, ds: list) -> tuple:
+        """A list of integer degrees, reduced into the grading group."""
+        return tuple(ds)
 
     def _braid_scalar(self, a: int, b: int):
-        return rat(1)
+        return 1
 
     def _twist_scalar(self, a: int):
-        return rat(1)
+        return 1
+
+    def _switch_scalar(self, a: int, b: int):
+        """The scalar of s_{X,Y} on the degree pair (a, b)."""
+        return self._braid_scalar(a, b) * self._twist_scalar(a)
 
     # object and morphism builders ---------------------------------------
 
@@ -79,10 +87,6 @@ class MatrixCategory(CategoryInstance):
     def matrix(self, f: Morphism) -> RatMatrix:
         return f.payload
 
-    def scalar_mor(self, value) -> Morphism:
-        unit = self.unit_object()
-        return self.mor(unit, unit, RatMatrix(1, 1, {(0, 0): rat(value)}))
-
     def scalar_value(self, f: Morphism):
         if not self.is_scalar(f):
             raise DomainMismatch("not a scalar (I -> I) morphism")
@@ -96,8 +100,8 @@ class MatrixCategory(CategoryInstance):
     def tensor_obj(self, x: ObjectRef, y: ObjectRef) -> ObjectRef:
         self._own_obj(x)
         self._own_obj(y)
-        add = self._deg_add
-        return ObjectRef(self.instance_id, tuple(add(a, b) for a in x.payload for b in y.payload))
+        return ObjectRef(self.instance_id,
+                         self._reduce_degrees([a + b for a in x.payload for b in y.payload]))
 
     def identity(self, x: ObjectRef) -> Morphism:
         self._own_obj(x)
@@ -144,7 +148,7 @@ class MatrixCategory(CategoryInstance):
         """s_{X,Y} = (id_Y (x) theta_X) . c_{X,Y}; plain braiding when the twist is trivial."""
         self._own_obj(x)
         self._own_obj(y)
-        return self._swap_matrix(x, y, lambda a, b: self._braid_scalar(a, b) * self._twist_scalar(a))
+        return self._swap_matrix(x, y, self._switch_scalar)
 
     # braided / balanced ----------------------------------------------------
 
@@ -158,7 +162,7 @@ class MatrixCategory(CategoryInstance):
         self._need("braided")
         self._own_obj(x)
         self._own_obj(y)
-        return self._swap_matrix(y, x, lambda b, a: 1 / self._braid_scalar(a, b))
+        return self._swap_matrix(y, x, lambda b, a: 1 / rat(self._braid_scalar(a, b)))
 
     def twist_theta(self, x: ObjectRef) -> Morphism:
         self._need("balanced")
@@ -208,7 +212,7 @@ class MatrixCategory(CategoryInstance):
 
     def dual_obj(self, x: ObjectRef) -> ObjectRef:
         self._own_obj(x)
-        return self.obj(tuple(self._deg_neg(d) for d in x.payload))
+        return ObjectRef(self.instance_id, self._reduce_degrees([-d for d in x.payload]))
 
     def dual_data(self, x: ObjectRef):
         """(dual, ev, coev) with ev: X* (x) X -> I the index pairing and
@@ -267,7 +271,8 @@ def _split_cod(inst, t: Morphism, x: ObjectRef, xd: ObjectRef) -> ObjectRef:
         raise DomainMismatch("t must have the unit object as source")
     if n == 0 or dim(t.target) % n != 0:
         raise DomainMismatch("target of t does not factor as Y (x) X*")
-    y = inst.obj(inst._deg_sub(d, xd.payload[0]) for d in t.target.payload[::n])
+    y = ObjectRef(inst.instance_id,
+                  inst._reduce_degrees([d - xd.payload[0] for d in t.target.payload[::n]]))
     if inst.tensor_obj(y, xd) != t.target:
         raise DomainMismatch("target of t does not factor as Y (x) X*")
     return y
@@ -315,14 +320,8 @@ class FinVect(MatrixCategory):
         has_duals=lambda _x: True,
     )
 
-    def _deg_add(self, a, b):
-        return 0
-
-    def _deg_sub(self, a, b):
-        return 0
-
-    def _deg_neg(self, a):
-        return 0
+    def _reduce_degrees(self, ds):
+        return (0,) * len(ds)
 
     def space(self, n: int) -> ObjectRef:
         return self.obj((0,) * n)
@@ -343,17 +342,11 @@ class SuperVect(MatrixCategory):
         has_duals=lambda _x: True,
     )
 
-    def _deg_add(self, a, b):
-        return (a + b) % 2
-
-    def _deg_sub(self, a, b):
-        return (a - b) % 2
-
-    def _deg_neg(self, a):
-        return a % 2
+    def _reduce_degrees(self, ds):
+        return tuple([d % 2 for d in ds])
 
     def _braid_scalar(self, a, b):
-        return rat(-1) if (a and b) else rat(1)
+        return -1 if (a and b) else 1
 
     def space(self, even: int, odd: int) -> ObjectRef:
         return self.obj((0,) * even + (1,) * odd)

@@ -59,6 +59,24 @@ def test_unknown_suite_errors(capsys):
     assert err == "no suite matches 'nope.nothing'\n"
 
 
+def test_overlapping_suite_patterns_run_each_suite_once(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "bord.glue", "--suite", "bord",
+                             "--trials", "2", "--format", "json")
+    assert code == 0 and err == ""
+    ids = [r["id"] for r in json.loads(out)["suites"]]
+    bord = [sid for sid in REGISTRY if sid.startswith("bord")]
+    assert "bord.glue" in bord
+    assert ids == ["bord.glue"] + [sid for sid in bord if sid != "bord.glue"]
+
+
+def test_every_suite_pattern_is_validated_before_running(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "all", "--suite", "nosuch",
+                             "--trials", "1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "no suite matches 'nosuch'\n"
+
+
 def test_key_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
     """Exit code 2 means unusable input only: a KeyError raised by a suite's
     check is not reported as an unknown suite."""

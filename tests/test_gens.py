@@ -1,20 +1,49 @@
 """Generator contracts: determinism, shape invariants, boundary matchings."""
 
+import pytest
+
 from traced import get_instance
 from traced.bordism import Bord
 from traced.gens import (
     Stream,
     gen_bordism,
+    gen_matrix_mor,
     gen_morphism,
     gen_object,
     gen_point_set,
     gen_triple,
     trial_stream,
 )
+from traced.matrices import RatMatrix
 
 rb = get_instance("rbord1")
 fv = get_instance("finvect")
+sv = get_instance("supervect")
 g2 = get_instance("graded(q=2)")
+
+
+def reference_matrix_mor(inst, x, y, rng, density=70):
+    """gen_matrix_mor's contract: per entry in row-major order, a degree
+    match draws rng.chance(density, 100) and, if it holds, rng.fraction()."""
+    ent = {}
+    for i, a in enumerate(y.payload):
+        for j, b in enumerate(x.payload):
+            if a == b and rng.chance(density, 100):
+                ent[(i, j)] = rng.fraction()
+    return inst.mor(x, y, RatMatrix(len(y.payload), len(x.payload), ent))
+
+
+@pytest.mark.parametrize("inst", [fv, sv, g2], ids=lambda i: i.instance_id)
+@pytest.mark.parametrize("density", [0, 30, 70, 100])
+def test_gen_matrix_mor_draws_like_chance_then_fraction(inst, density):
+    rng = trial_stream(9, f"matrix-mor-{density}", 0)
+    for k in range(60):
+        x = gen_object(inst, rng, 4, 2)
+        y = gen_object(inst, rng, 4, 2)
+        ref_rng = Stream(rng.state)
+        f = gen_matrix_mor(inst, x, y, rng, density)
+        assert f == reference_matrix_mor(inst, x, y, ref_rng, density)
+        assert rng.state == ref_rng.state
 
 
 def test_splitmix_reproducible():

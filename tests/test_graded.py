@@ -63,6 +63,20 @@ def test_switching_scalar():
     assert g2.mor_equal(g2.switching(z, b), g2.plain_swap(z, b))
 
 
+def test_structural_scalars_at_q_three_halves_with_negative_degrees():
+    g = get_instance("graded(q=3/2)")
+    a, b = g.line(-1), g.line(2)
+    assert g.switching(a, b).payload.to_rows() == [[rat(2, 3)]]  # q^{-2 + 1}
+    assert g.switching(b, a).payload.to_rows() == [[rat(9, 4)]]  # q^{-2 + 4}
+    assert g.braiding_c(a, b).payload.to_rows() == [[rat(4, 9)]]  # q^{-2}
+    assert g.braiding_c_inv(a, b).payload.to_rows() == [[rat(9, 4)]]
+    assert g.twist_theta(g.line(-2)).payload.to_rows() == [[rat(81, 16)]]  # q^4
+    # on X (x) X with X of degrees (-2, -1), e_i (x) e_j sits at index 2i + j
+    s = g.switching(g.obj((-2, -1)), g.obj((-2, -1))).payload
+    assert s.entry(2, 1) == rat(3, 2) ** 6  # pair (-2, -1): q^{2 + 4}
+    assert s.entry(1, 2) == rat(3, 2) ** 3  # pair (-1, -2): q^{2 + 1}
+
+
 def test_graded_dual_dims():
     x = g2.space({-1: 2, 0: 1, 3: 1})
     xd = g2.dual_obj(x)

@@ -1,12 +1,107 @@
-import pytest
+import operator
 
-from traced import get_instance, phi, phi_inv, alpha, psi, tr_hat
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from traced import get_instance, phi, phi_inv, alpha, psi, rat, tr_hat
 from traced.errors import CapabilityMissing, DomainMismatch, InstanceMismatch, NotEndo
 from traced.gens import gen_matrix_mor, gen_object, trial_stream
 from traced.matrices import RatMatrix
+from traced.vect import _split_cod
 
 fv = get_instance("finvect")
 sv = get_instance("supervect")
+gq = get_instance("graded(q=3/2)")
+MATRIX_INSTANCES = pytest.mark.parametrize("inst", [fv, sv, gq], ids=lambda i: i.instance_id)
+
+# Per-pair reference degree arithmetic: (add, sub, neg) on single degrees.
+REFERENCE_DEGREES = {
+    "finvect": (lambda a, b: 0, lambda a, b: 0, lambda a: 0),
+    "supervect": (lambda a, b: (a + b) % 2, lambda a, b: (a - b) % 2, lambda a: a % 2),
+    gq.instance_id: (operator.add, operator.sub, operator.neg),
+}
+
+# Payloads obj() keeps as given: supervect degrees beyond 0/1, nonzero finvect degrees.
+raw_degrees = st.lists(st.integers(-4, 4), max_size=4)
+
+
+def ref_tensor_degrees(inst, x, y):
+    add = REFERENCE_DEGREES[inst.instance_id][0]
+    return tuple(add(a, b) for a in x.payload for b in y.payload)
+
+
+@MATRIX_INSTANCES
+@given(xs=raw_degrees, ys=raw_degrees)
+@settings(max_examples=60, deadline=None)
+def test_tensor_and_dual_obj_match_per_pair_reference(inst, xs, ys):
+    x, y = inst.obj(xs), inst.obj(ys)
+    neg = REFERENCE_DEGREES[inst.instance_id][2]
+    assert inst.tensor_obj(x, y) == inst.obj(ref_tensor_degrees(inst, x, y))
+    assert inst.dual_obj(x) == inst.obj(neg(d) for d in xs)
+
+
+@MATRIX_INSTANCES
+@given(xs=st.lists(st.integers(-4, 4), min_size=1, max_size=4), ys=raw_degrees)
+@settings(max_examples=60, deadline=None)
+def test_split_cod_matches_per_pair_reference(inst, xs, ys):
+    x, y = inst.obj(xs), inst.obj(ys)
+    xd = inst.dual_obj(x)
+    t = inst.zero_mor(inst.unit_object(), inst.tensor_obj(y, xd))
+    sub = REFERENCE_DEGREES[inst.instance_id][1]
+    expected = inst.obj(sub(d, xd.payload[0]) for d in t.target.payload[::len(xs)])
+    assert _split_cod(inst, t, x, xd) == expected
+    assert inst.tensor_obj(expected, xd) == t.target
+
+
+def test_split_cod_rejects_a_target_that_does_not_factor():
+    x = gq.obj((0, 1))
+    t = gq.zero_mor(gq.unit_object(), gq.obj((0, 0)))
+    with pytest.raises(DomainMismatch):
+        _split_cod(gq, t, x, gq.dual_obj(x))
+
+
+def closed_form_scalars(inst):
+    """(switching, braiding, twist) scalars on homogeneous degrees m, n."""
+    if inst is fv:
+        return (lambda m, n: 1), (lambda m, n: 1), (lambda m: 1)
+    if inst is sv:
+        def sign(m, n):
+            return (-1) ** (m * n)
+        return sign, sign, (lambda m: 1)
+    q = inst.q
+    return ((lambda m, n: q ** (m * n + m * m)), (lambda m, n: q ** (m * n)),
+            (lambda m: q ** (m * m)))
+
+
+def homogeneous_degrees(inst):
+    if inst is fv:
+        return st.lists(st.just(0), max_size=4)
+    if inst is sv:
+        return st.lists(st.integers(0, 1), max_size=4)
+    return st.lists(st.integers(-3, 3), max_size=4)
+
+
+@MATRIX_INSTANCES
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_structural_entries_equal_closed_form_scalars(inst, data):
+    x = inst.obj(data.draw(homogeneous_degrees(inst)))
+    y = inst.obj(data.draw(homogeneous_degrees(inst)))
+    switch, braid, twist = closed_form_scalars(inst)
+    s, c = inst.switching(x, y).payload, inst.braiding_c(x, y).payload
+    c_inv, theta = inst.braiding_c_inv(x, y).payload, inst.twist_theta(x).payload
+    nx, ny = len(x.payload), len(y.payload)
+    expected_s, expected_c, expected_c_inv = {}, {}, {}
+    for i, m in enumerate(x.payload):
+        for j, n in enumerate(y.payload):
+            expected_s[(j * nx + i, i * ny + j)] = rat(switch(m, n))
+            expected_c[(j * nx + i, i * ny + j)] = rat(braid(m, n))
+            expected_c_inv[(i * ny + j, j * nx + i)] = 1 / rat(braid(m, n))
+    assert dict(s.entries) == expected_s
+    assert dict(c.entries) == expected_c
+    assert dict(c_inv.entries) == expected_c_inv
+    assert dict(theta.entries) == {(i, i): rat(twist(m)) for i, m in enumerate(x.payload)}
 
 
 def test_compose_matrix_product():
