@@ -5,12 +5,12 @@
     traced eval FILE.diag
     traced demo partition --matrix FILE --length N [--float]
 
-Exit codes: `check` is nonzero iff any suite fails; `eval` is nonzero iff
-an assertion fails or the program is rejected; `check --replay` is nonzero
-iff some stored counterexample no longer reproduces.  Exit code 2 means
-unusable input (an unknown suite, a `--q` the graded instance rejects, a
-`--trials` below 1, a non-integer TRACED_SEED, a missing or malformed
-replay file), reported in one line on stderr.  TRACED_SEED overrides the
+Exit codes: `check` is nonzero iff any suite fails; `eval` exits 1 iff an
+assertion fails; `check --replay` is nonzero iff some stored counterexample
+no longer reproduces.  Exit code 2 means unusable input (an unknown suite,
+a `--q` the graded instance rejects, a `--trials` below 1, a non-integer
+TRACED_SEED, a missing or malformed replay file, a rejected .diag program),
+reported in one line on stderr.  TRACED_SEED overrides the
 default seed.
 """
 

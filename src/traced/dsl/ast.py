@@ -239,5 +239,6 @@ class AssertCmd:
 
 @dataclass(frozen=True)
 class Program:
+    span: Span  # the "instance" header
     instance_id: str
     items: tuple

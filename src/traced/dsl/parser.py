@@ -9,20 +9,52 @@
     term    := tens (";" tens)*        ";" is diagrammatic (left runs first)
     tens    := atom ("*" atom)*        "*" binds tighter than ";"
 
-`#` starts a line comment.  Numbers are unsigned rationals INT[/INT]; a
-leading "-" is parsed where signed values are legal (matrix entries,
-graded degrees).
+`#` starts a line comment.  Numbers are unsigned rationals INT[/INT] in
+ASCII digits with a nonzero denominator; a leading "-" is parsed where
+signed values are legal (matrix entries, graded degrees).
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import LexError, ParseError
 from . import ast
 from .ast import Span
 
-SYMBOLS = ("->", "(", ")", "{", "}", "[", "]", ",", ":", ";", "*", "=", "-")
+_SYMBOLS = "-(){}[],:;*="  # the one-character symbols; "->" is the only longer one
 
-BUILTIN_TERMS = {"id", "s", "c", "theta", "ev", "coev", "trace_hat", "pairing"}
+# Every character of a program falls in exactly one piece.  `tokenize` keeps
+# names, numbers and symbols, and rejects any other piece.
+_PIECE = re.compile(rf"""
+    [ \t\r]+ | \#[^\n]* | \n           # blanks, comments, newlines
+  | [^\W\d][\w']*                      # names; "\w" also holds numerals such as "²"
+  | [0-9]+(?:/[0-9]+)?                 # unsigned rationals in ASCII digits
+  | -> | [{re.escape(_SYMBOLS)}]
+  | .
+""", re.VERBOSE)
+
+# name -> (AST node, ((field, argument kind), ...)).  A kind names the Parser
+# method that reads the argument; the node's base class says where the form
+# may appear (term, object or triple).  `pretty` prints from the same table.
+FORMS = {
+    "id": (ast.Id, (("obj", "objexpr"),)),
+    "s": (ast.S, (("x", "objexpr"), ("y", "objexpr"))),
+    "c": (ast.C, (("x", "objexpr"), ("y", "objexpr"))),
+    "theta": (ast.Theta, (("obj", "objexpr"),)),
+    "ev": (ast.Ev, (("obj", "objexpr"),)),
+    "coev": (ast.Coev, (("obj", "objexpr"),)),
+    "trace_hat": (ast.TraceHat, (("triple", "tripleexpr"),)),
+    "pairing": (ast.Pairing, (("f", "term"), ("g", "term"))),
+    "cut": (ast.Cut, (("term", "term"), ("fraction", "rational"))),
+    "thicken": (ast.Thicken, (("term", "term"),)),
+    "dual": (ast.ObjDual, (("inner", "objexpr"),)),
+    "super": (ast.ObjSuper, (("even", "unsigned_int"), ("odd", "unsigned_int"))),
+}
+
+# item keyword -> the Parser method that reads the item
+_ITEMS = {"obj": "obj_decl", "mor": "mor_decl", "triple": "triple_decl",
+          "print": "print_cmd", "assert_equal": "assert_cmd"}
 
 
 class Token:
@@ -44,57 +76,25 @@ class Token:
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("symbol", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(){}[],:;*=-":
-            tokens.append(Token("symbol", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    for piece in _PIECE.findall(text):
+        first, col = piece[0], pos - line_start + 1
+        pos += len(piece)
+        if first in " \t\r#":
+            pass
+        elif first == "\n":
+            line, line_start = line + 1, pos
+        elif first.isalpha() or first == "_":
+            tokens.append(Token("name", piece, line, col))
+        elif "0" <= first <= "9":
+            if "/" in piece and not piece.partition("/")[2].strip("0"):
+                raise LexError(f"zero denominator in {piece}", line, col)
+            tokens.append(Token("number", piece, line, col))
+        elif first in _SYMBOLS:
+            tokens.append(Token("symbol", piece, line, col))
+        else:
+            raise LexError(f"unexpected character {first!r}", line, col)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -104,6 +104,8 @@ class Parser:
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
+    # Symbol, name and number texts never coincide, so a token's text alone
+    # says whether it is a given symbol or keyword.
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -113,139 +115,157 @@ class Parser:
         self.pos += 1
         return tok
 
-    def at_symbol(self, text) -> bool:
-        t = self.peek()
-        return t.kind == "symbol" and t.text == text
+    def at(self, text) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_name(self, text=None) -> bool:
-        t = self.peek()
-        return t.kind == "name" and (text is None or t.text == text)
-
-    def expect_symbol(self, text) -> Token:
-        t = self.peek()
-        if not self.at_symbol(text):
+    def expect(self, text) -> Token:
+        t = self.tokens[self.pos]
+        if t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return self.advance()
+        self.pos += 1
+        return t
 
-    def expect_name(self, text=None) -> Token:
-        t = self.peek()
-        if t.kind != "name" or (text is not None and t.text != text):
-            want = repr(text) if text else "a name"
-            raise ParseError(f"expected {want}, found {t.text!r}", t.line, t.col)
-        return self.advance()
+    def label(self) -> str:
+        t = self.tokens[self.pos]
+        if t.kind != "name":
+            raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
+        self.pos += 1
+        return t.text
 
-    def expect_number(self) -> Token:
+    def rational(self) -> str:
         t = self.peek()
         if t.kind != "number":
             raise ParseError(f"expected a number, found {t.text!r}", t.line, t.col)
-        return self.advance()
+        return self.advance().text
 
     def signed_number(self) -> str:
-        if self.at_symbol("-"):
+        if self.at("-"):
             self.advance()
-            return "-" + self.expect_number().text
-        return self.expect_number().text
+            return "-" + self.rational()
+        return self.rational()
 
     def unsigned_int(self) -> int:
-        t = self.expect_number()
-        if "/" in t.text:
+        t = self.peek()
+        if "/" in self.rational():
             raise ParseError("expected an integer", t.line, t.col)
         return int(t.text)
 
     def signed_int(self) -> int:
-        neg = False
-        if self.at_symbol("-"):
+        if self.at("-"):
             self.advance()
-            neg = True
-        v = self.unsigned_int()
-        return -v if neg else v
+            return -self.unsigned_int()
+        return self.unsigned_int()
+
+    def listed(self, open_, close, item) -> tuple:
+        """`open [item {"," item}] close`, as a tuple of the items."""
+        self.expect(open_)
+        items = []
+        if not self.at(close):
+            items.append(item())
+            while self.at(","):
+                self.advance()
+                items.append(item())
+        self.expect(close)
+        return tuple(items)
+
+    def chain(self, symbol, operand, join):
+        """`operand {symbol operand}`, folded to the left by `join(op, left, right)`."""
+        left = operand()
+        while self.at(symbol):
+            op = self.advance()
+            left = join(op, left, operand())
+        return left
+
+    def form(self, base):
+        """The builtin form `name "(" arg {"," arg} ")"` at the next token, or
+        None when the token names no form that builds a `base` node."""
+        t = self.peek()
+        node, fields = FORMS.get(t.text, (None, ()))
+        if node is None or not issubclass(node, base):
+            return None
+        self.advance()
+        self.expect("(")
+        args = {}
+        for i, (field, kind) in enumerate(fields):
+            if i:
+                self.expect(",")
+            args[field] = getattr(self, kind)()
+        self.expect(")")
+        return node(span=t.span, **args)
 
     # -- grammar -----------------------------------------------------------
 
     def program(self) -> ast.Program:
-        self.expect_name("instance")
+        kw = self.expect("instance")
         iid = self.instance_name()
         items = []
         while self.peek().kind != "eof":
             items.append(self.item())
-        return ast.Program(instance_id=iid, items=tuple(items))
+        return ast.Program(span=kw.span, instance_id=iid, items=tuple(items))
 
     def instance_name(self) -> str:
-        t = self.expect_name()
-        if t.text in ("finvect", "supervect", "rbord1"):
-            return t.text
-        if t.text == "graded":
-            self.expect_symbol("(")
-            self.expect_name("q")
-            self.expect_symbol("=")
+        t = self.peek()
+        name = self.label()
+        if name in ("finvect", "supervect", "rbord1"):
+            return name
+        if name == "graded":
+            self.expect("(")
+            self.expect("q")
+            self.expect("=")
             q = self.signed_number()
-            self.expect_symbol(")")
+            self.expect(")")
             return f"graded(q={q})"
-        raise ParseError(f"unknown instance {t.text!r}", t.line, t.col)
+        raise ParseError(f"unknown instance {name!r}", t.line, t.col)
 
     def item(self):
         t = self.peek()
-        if t.kind != "name":
+        method = _ITEMS.get(t.text)
+        if method is None:
             raise ParseError(f"expected a declaration or command, found {t.text!r}", t.line, t.col)
-        if t.text == "obj":
-            return self.obj_decl()
-        if t.text == "mor":
-            return self.mor_decl()
-        if t.text == "triple":
-            return self.triple_decl()
-        if t.text == "print":
-            return self.print_cmd()
-        if t.text == "assert_equal":
-            return self.assert_cmd()
-        raise ParseError(f"expected a declaration or command, found {t.text!r}", t.line, t.col)
+        return getattr(self, method)()
 
     def obj_decl(self) -> ast.ObjDecl:
-        kw = self.expect_name("obj")
-        name = self.expect_name().text
-        self.expect_symbol("=")
+        kw = self.expect("obj")
+        name = self.label()
+        self.expect("=")
         return ast.ObjDecl(span=kw.span, name=name, expr=self.objexpr())
 
     def mor_decl(self) -> ast.MorDecl:
-        kw = self.expect_name("mor")
-        name = self.expect_name().text
-        self.expect_symbol(":")
+        kw = self.expect("mor")
+        name = self.label()
+        self.expect(":")
         src = self.objexpr()
-        self.expect_symbol("->")
+        self.expect("->")
         tgt = self.objexpr()
-        self.expect_symbol("=")
+        self.expect("=")
         return ast.MorDecl(span=kw.span, name=name, src=src, tgt=tgt, literal=self.morlit())
 
     def triple_decl(self) -> ast.TripleDecl:
-        kw = self.expect_name("triple")
-        name = self.expect_name().text
-        self.expect_symbol("=")
+        kw = self.expect("triple")
+        name = self.label()
+        self.expect("=")
         return ast.TripleDecl(span=kw.span, name=name, expr=self.tripleexpr())
 
     def print_cmd(self) -> ast.PrintCmd:
-        kw = self.expect_name("print")
-        self.expect_symbol("(")
+        kw = self.expect("print")
+        self.expect("(")
         term = self.term()
-        self.expect_symbol(")")
+        self.expect(")")
         return ast.PrintCmd(span=kw.span, term=term)
 
     def assert_cmd(self) -> ast.AssertCmd:
-        kw = self.expect_name("assert_equal")
-        self.expect_symbol("(")
+        kw = self.expect("assert_equal")
+        self.expect("(")
         left = self.term()
-        self.expect_symbol(",")
+        self.expect(",")
         right = self.term()
-        self.expect_symbol(")")
+        self.expect(")")
         return ast.AssertCmd(span=kw.span, left=left, right=right)
 
     # -- object expressions ---------------------------------------------------
 
     def objexpr(self) -> ast.ObjExpr:
-        left = self.objatom()
-        while self.at_symbol("*"):
-            op = self.advance()
-            right = self.objatom()
-            left = ast.ObjTensor(span=op.span, left=left, right=right)
-        return left
+        return self.chain("*", self.objatom, lambda op, a, b: ast.ObjTensor(op.span, a, b))
 
     def objatom(self) -> ast.ObjExpr:
         t = self.peek()
@@ -254,244 +274,93 @@ class Parser:
             if "/" in t.text:
                 raise ParseError("dimension must be an integer", t.line, t.col)
             return ast.ObjInt(span=t.span, dim=int(t.text))
-        if self.at_symbol("("):
+        if self.at("("):
             self.advance()
             inner = self.objexpr()
-            self.expect_symbol(")")
+            self.expect(")")
             return inner
         if t.kind != "name":
             raise ParseError(f"expected an object expression, found {t.text!r}", t.line, t.col)
-        if t.text == "I":
-            self.advance()
-            return ast.ObjUnit(span=t.span)
-        if t.text == "dual":
-            self.advance()
-            self.expect_symbol("(")
-            inner = self.objexpr()
-            self.expect_symbol(")")
-            return ast.ObjDual(span=t.span, inner=inner)
-        if t.text == "super":
-            self.advance()
-            self.expect_symbol("(")
-            even = self.unsigned_int()
-            self.expect_symbol(",")
-            odd = self.unsigned_int()
-            self.expect_symbol(")")
-            return ast.ObjSuper(span=t.span, even=even, odd=odd)
-        if t.text == "graded":
-            self.advance()
-            self.expect_symbol("{")
-            entries = []
-            if not self.at_symbol("}"):
-                while True:
-                    deg = self.signed_int()
-                    self.expect_symbol(":")
-                    dim = self.unsigned_int()
-                    entries.append((deg, dim))
-                    if self.at_symbol(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_symbol("}")
-            return ast.ObjGraded(span=t.span, entries=tuple(entries))
-        if t.text == "pts":
-            self.advance()
-            self.expect_symbol("{")
-            labels = []
-            if not self.at_symbol("}"):
-                while True:
-                    labels.append(self.expect_name().text)
-                    if self.at_symbol(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_symbol("}")
-            return ast.ObjPts(span=t.span, labels=tuple(labels))
+        if (node := self.form(ast.ObjExpr)) is not None:
+            return node
         self.advance()
+        if t.text == "I":
+            return ast.ObjUnit(span=t.span)
+        if t.text == "graded":
+            return ast.ObjGraded(span=t.span, entries=self.listed("{", "}", self.graded_entry))
+        if t.text == "pts":
+            return ast.ObjPts(span=t.span, labels=self.listed("{", "}", self.label))
         return ast.ObjName(span=t.span, name=t.text)
+
+    def graded_entry(self) -> tuple:
+        deg = self.signed_int()
+        self.expect(":")
+        return (deg, self.unsigned_int())
 
     # -- morphism literals -------------------------------------------------------
 
     def morlit(self):
         t = self.peek()
-        if self.at_symbol("["):
-            return self.matrix_lit()
-        if self.at_name("bord"):
-            return self.bord_lit()
-        if self.at_name("iso"):
-            return self.iso_lit()
+        if self.at("["):
+            return ast.MatrixLit(span=t.span, rows=self.listed("[", "]", self.matrix_row))
+        if self.at("bord"):
+            self.advance()
+            return ast.BordLit(span=t.span, entries=self.listed("{", "}", self.bord_entry))
+        if self.at("iso"):
+            self.advance()
+            return ast.IsoLit(span=t.span, pairs=self.listed("{", "}", self.iso_pair))
         raise ParseError(f"expected a morphism literal, found {t.text!r}", t.line, t.col)
 
-    def matrix_lit(self) -> ast.MatrixLit:
-        lb = self.expect_symbol("[")
-        rows = []
-        if not self.at_symbol("]"):
-            while True:
-                self.expect_symbol("[")
-                row = []
-                if not self.at_symbol("]"):
-                    while True:
-                        row.append(self.signed_number())
-                        if self.at_symbol(","):
-                            self.advance()
-                            continue
-                        break
-                self.expect_symbol("]")
-                rows.append(tuple(row))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_symbol("]")
-        return ast.MatrixLit(span=lb.span, rows=tuple(rows))
-
-    def bord_lit(self) -> ast.BordLit:
-        kw = self.expect_name("bord")
-        self.expect_symbol("{")
-        entries = []
-        if not self.at_symbol("}"):
-            while True:
-                entries.append(self.bord_entry())
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_symbol("}")
-        return ast.BordLit(span=kw.span, entries=tuple(entries))
+    def matrix_row(self) -> tuple:
+        return self.listed("[", "]", self.signed_number)
 
     def bord_entry(self) -> ast.BordEntry:
-        t = self.peek()
-        if self.at_name("loop"):
-            self.advance()
-            self.expect_symbol(":")
-            return ast.BordEntry(kind="loop", a="", b="", length=self.expect_number().text)
-        if self.at_name("cap") or self.at_name("cup"):
-            kind = self.advance().text
-            a = self.expect_name().text
-            b = self.expect_name().text
-            self.expect_symbol(":")
-            return ast.BordEntry(kind=kind, a=a, b=b, length=self.expect_number().text)
-        a = self.expect_name().text
-        self.expect_symbol("->")
-        b = self.expect_name().text
-        self.expect_symbol(":")
-        return ast.BordEntry(kind="arc", a=a, b=b, length=self.expect_number().text)
+        if self.at("loop"):
+            kind, a, b = self.advance().text, "", ""
+        elif self.at("cap") or self.at("cup"):
+            kind, a, b = self.advance().text, self.label(), self.label()
+        else:
+            kind, a = "arc", self.label()
+            self.expect("->")
+            b = self.label()
+        self.expect(":")
+        return ast.BordEntry(kind=kind, a=a, b=b, length=self.rational())
 
-    def iso_lit(self) -> ast.IsoLit:
-        kw = self.expect_name("iso")
-        self.expect_symbol("{")
-        pairs = []
-        if not self.at_symbol("}"):
-            while True:
-                a = self.expect_name().text
-                self.expect_symbol("->")
-                b = self.expect_name().text
-                pairs.append((a, b))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_symbol("}")
-        return ast.IsoLit(span=kw.span, pairs=tuple(pairs))
+    def iso_pair(self) -> tuple:
+        a = self.label()
+        self.expect("->")
+        return (a, self.label())
 
     # -- terms ----------------------------------------------------------------------
 
     def term(self) -> ast.Term:
-        left = self.tensor_term()
-        while self.at_symbol(";"):
-            op = self.advance()
-            right = self.tensor_term()
-            # diagrammatic order: left executes first
-            left = ast.Compose(span=op.span, after=right, before=left)
-        return left
+        # diagrammatic order: the left factor executes first
+        return self.chain(";", self.tensor_term,
+                          lambda op, a, b: ast.Compose(op.span, after=b, before=a))
 
     def tensor_term(self) -> ast.Term:
-        left = self.atom()
-        while self.at_symbol("*"):
-            op = self.advance()
-            right = self.atom()
-            left = ast.Tensor(span=op.span, left=left, right=right)
-        return left
+        return self.chain("*", self.atom, lambda op, a, b: ast.Tensor(op.span, a, b))
 
     def atom(self) -> ast.Term:
         t = self.peek()
-        if self.at_symbol("("):
+        if self.at("("):
             self.advance()
             inner = self.term()
-            self.expect_symbol(")")
+            self.expect(")")
             return ast.Paren(span=t.span, inner=inner)
         if t.kind != "name":
             raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
-        if t.text == "id":
-            self.advance()
-            self.expect_symbol("(")
-            obj = self.objexpr()
-            self.expect_symbol(")")
-            return ast.Id(span=t.span, obj=obj)
-        if t.text in ("s", "c"):
-            self.advance()
-            self.expect_symbol("(")
-            x = self.objexpr()
-            self.expect_symbol(",")
-            y = self.objexpr()
-            self.expect_symbol(")")
-            node = ast.S if t.text == "s" else ast.C
-            return node(span=t.span, x=x, y=y)
-        if t.text == "theta":
-            self.advance()
-            self.expect_symbol("(")
-            obj = self.objexpr()
-            self.expect_symbol(")")
-            return ast.Theta(span=t.span, obj=obj)
-        if t.text in ("ev", "coev"):
-            self.advance()
-            self.expect_symbol("(")
-            obj = self.objexpr()
-            self.expect_symbol(")")
-            node = ast.Ev if t.text == "ev" else ast.Coev
-            return node(span=t.span, obj=obj)
-        if t.text == "trace_hat":
-            self.advance()
-            self.expect_symbol("(")
-            triple = self.tripleexpr()
-            self.expect_symbol(")")
-            return ast.TraceHat(span=t.span, triple=triple)
-        if t.text == "pairing":
-            self.advance()
-            self.expect_symbol("(")
-            f = self.term()
-            self.expect_symbol(",")
-            g = self.term()
-            self.expect_symbol(")")
-            return ast.Pairing(span=t.span, f=f, g=g)
+        if (node := self.form(ast.Term)) is not None:
+            return node
         self.advance()
         return ast.Gen(span=t.span, name=t.text)
 
     def tripleexpr(self) -> ast.TripleExpr:
+        if (node := self.form(ast.TripleExpr)) is not None:
+            return node
         t = self.peek()
-        if self.at_name("cut"):
-            self.advance()
-            self.expect_symbol("(")
-            term = self.term()
-            self.expect_symbol(",")
-            frac = self.expect_number().text
-            self.expect_symbol(")")
-            return ast.Cut(span=t.span, term=term, fraction=frac)
-        if self.at_name("thicken"):
-            self.advance()
-            self.expect_symbol("(")
-            term = self.term()
-            self.expect_symbol(")")
-            return ast.Thicken(span=t.span, term=term)
-        name = self.expect_name()
-        return ast.TripleName(span=name.span, name=name.text)
+        return ast.TripleName(span=t.span, name=self.label())
 
 
-def parse(text_or_tokens) -> ast.Program:
-    tokens = tokenize(text_or_tokens) if isinstance(text_or_tokens, str) else text_or_tokens
-    parser = Parser(tokens)
-    prog = parser.program()
-    tail = parser.peek()
-    if tail.kind != "eof":  # pragma: no cover - program() consumes to eof
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return prog
+def parse(text: str) -> ast.Program:
+    return Parser(tokenize(text)).program()

@@ -4,6 +4,10 @@ on canonically formatted programs."""
 from __future__ import annotations
 
 from . import ast
+from .parser import FORMS
+
+# AST node -> (name, ((field, argument kind), ...)), the inverse of FORMS
+_FORM_OF = {node: (name, fields) for name, (node, fields) in FORMS.items()}
 
 
 def pretty(program: ast.Program) -> str:
@@ -27,22 +31,25 @@ def _item(item) -> str:
     raise AssertionError(f"unhandled item {item!r}")
 
 
+def _form(e) -> str:
+    name, fields = _FORM_OF[type(e)]
+    return f"{name}(" + ", ".join(_ARG[kind](getattr(e, f)) for f, kind in fields) + ")"
+
+
 def _obj(e: ast.ObjExpr) -> str:
+    if type(e) in _FORM_OF:
+        return _form(e)
     if isinstance(e, ast.ObjName):
         return e.name
     if isinstance(e, ast.ObjUnit):
         return "I"
     if isinstance(e, ast.ObjInt):
         return str(e.dim)
-    if isinstance(e, ast.ObjSuper):
-        return f"super({e.even}, {e.odd})"
     if isinstance(e, ast.ObjGraded):
         inner = ", ".join(f"{d}: {n}" for d, n in e.entries)
         return "graded{" + inner + "}"
     if isinstance(e, ast.ObjPts):
         return "pts{" + ", ".join(e.labels) + "}"
-    if isinstance(e, ast.ObjDual):
-        return f"dual({_obj(e.inner)})"
     if isinstance(e, ast.ObjTensor):
         # left-associated chains print flat, right nesting keeps parens
         left = _obj(e.left) if isinstance(e.left, ast.ObjTensor) else _obj_factor(e.left)
@@ -98,34 +105,23 @@ def _tens_factor(t: ast.Term) -> str:
 
 
 def _atom(t: ast.Term) -> str:
+    if type(t) in _FORM_OF:
+        return _form(t)
     if isinstance(t, ast.Gen):
         return t.name
-    if isinstance(t, ast.Id):
-        return f"id({_obj(t.obj)})"
-    if isinstance(t, ast.S):
-        return f"s({_obj(t.x)}, {_obj(t.y)})"
-    if isinstance(t, ast.C):
-        return f"c({_obj(t.x)}, {_obj(t.y)})"
-    if isinstance(t, ast.Theta):
-        return f"theta({_obj(t.obj)})"
-    if isinstance(t, ast.Ev):
-        return f"ev({_obj(t.obj)})"
-    if isinstance(t, ast.Coev):
-        return f"coev({_obj(t.obj)})"
-    if isinstance(t, ast.TraceHat):
-        return f"trace_hat({_triple(t.triple)})"
-    if isinstance(t, ast.Pairing):
-        return f"pairing({_term(t.f)}, {_term(t.g)})"
     if isinstance(t, ast.Paren):
         return "(" + _term(t.inner) + ")"
     raise AssertionError(f"unhandled term {t!r}")
 
 
 def _triple(e: ast.TripleExpr) -> str:
+    if type(e) in _FORM_OF:
+        return _form(e)
     if isinstance(e, ast.TripleName):
         return e.name
-    if isinstance(e, ast.Cut):
-        return f"cut({_term(e.term)}, {e.fraction})"
-    if isinstance(e, ast.Thicken):
-        return f"thicken({_term(e.term)})"
     raise AssertionError(f"unhandled triple expression {e!r}")
+
+
+# argument kind (a Parser method) -> printer
+_ARG = {"objexpr": _obj, "term": _term, "tripleexpr": _triple,
+        "unsigned_int": str, "rational": str}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import ObjectRef, get_instance
-from ..errors import DomainMismatch, TypecheckError
+from ..errors import DslError, TracedError, TypecheckError
 from ..matrices import RatMatrix
 from .._rat import parse_rat
 from . import ast
@@ -29,6 +29,14 @@ class TypedProgram:
 
 def _fmt_obj(x: ObjectRef) -> str:
     return repr(x.payload)
+
+
+def _at(exc: TracedError, span: ast.Span) -> TracedError:
+    """An instance's error as a TypecheckError at `span`; a DSL error keeps
+    the position it already has."""
+    if isinstance(exc, DslError):
+        return exc
+    return TypecheckError(str(exc), span.line, span.col)
 
 
 def resolve_objexpr(inst, objects: dict, e: ast.ObjExpr) -> ObjectRef:
@@ -63,8 +71,8 @@ def resolve_objexpr(inst, objects: dict, e: ast.ObjExpr) -> ObjectRef:
             raise TypecheckError("pts{...} objects live in rbord1", e.span.line, e.span.col)
         try:
             return inst.points(e.labels)
-        except DomainMismatch as exc:
-            raise TypecheckError(str(exc), e.span.line, e.span.col) from exc
+        except TracedError as exc:
+            raise _at(exc, e.span)
     if isinstance(e, ast.ObjDual):
         inner = resolve_objexpr(inst, objects, e.inner)
         if not inst.has_dual(inner):
@@ -75,8 +83,8 @@ def resolve_objexpr(inst, objects: dict, e: ast.ObjExpr) -> ObjectRef:
         right = resolve_objexpr(inst, objects, e.right)
         try:
             return inst.tensor_obj(left, right)
-        except DomainMismatch as exc:
-            raise TypecheckError(str(exc), e.span.line, e.span.col) from exc
+        except TracedError as exc:
+            raise _at(exc, e.span)
     raise TypecheckError(f"unhandled object expression {e!r}", e.span.line, e.span.col)
 
 
@@ -85,8 +93,8 @@ class Checker:
         self.program = program
         try:
             self.inst = get_instance(program.instance_id)
-        except KeyError as exc:
-            raise TypecheckError(str(exc)) from exc
+        except (KeyError, ValueError) as exc:  # an unknown id or a bad graded q
+            raise TypecheckError(exc.args[0], program.span.line, program.span.col) from exc
         self.objects: dict[str, ObjectRef] = {}
         self.morphisms: dict = {}
         self.triples: dict = {}
@@ -101,7 +109,10 @@ class Checker:
                 self._bind_fresh(item.name, item.span)
                 src = self.objexpr(item.src)
                 tgt = self.objexpr(item.tgt)
-                self.morphisms[item.name] = self.literal(item.literal, src, tgt)
+                try:
+                    self.morphisms[item.name] = self.literal(item.literal, src, tgt)
+                except TracedError as exc:
+                    raise _at(exc, item.literal.span)
             elif isinstance(item, ast.TripleDecl):
                 self._bind_fresh(item.name, item.span)
                 self.triples[item.name] = self.tripleexpr(item.expr)
@@ -149,10 +160,7 @@ class Checker:
                     f"matrix shape {got} does not match {len(tgt.payload)}x{len(src.payload)}",
                     lit.span.line, lit.span.col,
                 )
-            try:
-                return inst.mor(src, tgt, RatMatrix.from_rows(rows) if rows else RatMatrix.zero(0, len(src.payload)))
-            except DomainMismatch as exc:
-                raise TypecheckError(str(exc), lit.span.line, lit.span.col) from exc
+            return inst.mor(src, tgt, RatMatrix.from_rows(rows) if rows else RatMatrix.zero(0, len(src.payload)))
         if isinstance(lit, ast.BordLit):
             if inst.instance_id != "rbord1":
                 raise TypecheckError("bord{...} literals live in rbord1", lit.span.line, lit.span.col)
@@ -168,33 +176,34 @@ class Checker:
                     arcs.append(((IN, entry.a), (IN, entry.b), parse_rat(entry.length)))
                 else:
                     arcs.append(((OUT, entry.a), (OUT, entry.b), parse_rat(entry.length)))
-            try:
-                return inst.bord_mor(src, tgt, arcs, circles)
-            except DomainMismatch as exc:
-                raise TypecheckError(str(exc), lit.span.line, lit.span.col) from exc
+            return inst.bord_mor(src, tgt, arcs, circles)
         if isinstance(lit, ast.IsoLit):
             if inst.instance_id != "rbord1":
                 raise TypecheckError("iso{...} literals live in rbord1", lit.span.line, lit.span.col)
-            try:
-                return inst.iso_mor(src, tgt, dict(lit.pairs))
-            except DomainMismatch as exc:
-                raise TypecheckError(str(exc), lit.span.line, lit.span.col) from exc
+            return inst.iso_mor(src, tgt, dict(lit.pairs))
         raise TypecheckError("unhandled literal", lit.span.line, lit.span.col)
 
     # -- terms ---------------------------------------------------------------------
 
     def term(self, t: ast.Term):
+        try:
+            ty = self._term_type(t)
+        except TracedError as exc:
+            raise _at(exc, t.span)
+        self.term_types[id(t)] = ty
+        return ty
+
+    def _term_type(self, t: ast.Term):
         inst = self.inst
-        key = id(t)
         if isinstance(t, ast.Gen):
             if t.name not in self.morphisms:
                 raise TypecheckError(f"unknown morphism {t.name!r}", t.span.line, t.span.col)
             m = self.morphisms[t.name]
-            ty = (m.source, m.target)
-        elif isinstance(t, ast.Id):
+            return (m.source, m.target)
+        if isinstance(t, ast.Id):
             x = self.objexpr(t.obj)
-            ty = (x, x)
-        elif isinstance(t, ast.Compose):
+            return (x, x)
+        if isinstance(t, ast.Compose):
             before = self.term(t.before)
             after = self.term(t.after)
             if before[1] != after[0]:
@@ -203,32 +212,29 @@ class Checker:
                     f" starts at {_fmt_obj(after[0])}",
                     t.span.line, t.span.col,
                 )
-            ty = (before[0], after[1])
-        elif isinstance(t, ast.Tensor):
+            return (before[0], after[1])
+        if isinstance(t, ast.Tensor):
             lt = self.term(t.left)
             rt = self.term(t.right)
-            try:
-                ty = (inst.tensor_obj(lt[0], rt[0]), inst.tensor_obj(lt[1], rt[1]))
-            except DomainMismatch as exc:
-                raise TypecheckError(str(exc), t.span.line, t.span.col) from exc
-        elif isinstance(t, ast.S):
+            return (inst.tensor_obj(lt[0], rt[0]), inst.tensor_obj(lt[1], rt[1]))
+        if isinstance(t, ast.S):
             x, y = self.objexpr(t.x), self.objexpr(t.y)
-            ty = (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
-        elif isinstance(t, ast.C):
+            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
+        if isinstance(t, ast.C):
             if not inst.capabilities.braided:
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not braided", t.span.line, t.span.col
                 )
             x, y = self.objexpr(t.x), self.objexpr(t.y)
-            ty = (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
-        elif isinstance(t, ast.Theta):
+            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
+        if isinstance(t, ast.Theta):
             if not inst.capabilities.balanced:
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not balanced", t.span.line, t.span.col
                 )
             x = self.objexpr(t.obj)
-            ty = (x, x)
-        elif isinstance(t, (ast.Ev, ast.Coev)):
+            return (x, x)
+        if isinstance(t, (ast.Ev, ast.Coev)):
             x = self.objexpr(t.obj)
             if not inst.has_dual(x):
                 raise TypecheckError(
@@ -237,10 +243,10 @@ class Checker:
             xd = inst.dual_obj(x)
             unit = inst.unit_object()
             if isinstance(t, ast.Ev):
-                ty = (inst.tensor_obj(xd, x), unit)
+                return (inst.tensor_obj(xd, x), unit)
             else:
-                ty = (unit, inst.tensor_obj(x, xd))
-        elif isinstance(t, ast.TraceHat):
+                return (unit, inst.tensor_obj(x, xd))
+        if isinstance(t, ast.TraceHat):
             dom, cod = self.tripleexpr(t.triple)
             if dom != cod:
                 raise TypecheckError(
@@ -249,8 +255,8 @@ class Checker:
                     t.span.line, t.span.col,
                 )
             unit = inst.unit_object()
-            ty = (unit, unit)
-        elif isinstance(t, ast.Pairing):
+            return (unit, unit)
+        if isinstance(t, ast.Pairing):
             ft = self.term(t.f)
             gt = self.term(t.g)
             if not (gt[0] == ft[1] and gt[1] == ft[0]):
@@ -260,13 +266,10 @@ class Checker:
                     t.span.line, t.span.col,
                 )
             unit = inst.unit_object()
-            ty = (unit, unit)
-        elif isinstance(t, ast.Paren):
-            ty = self.term(t.inner)
-        else:
-            raise TypecheckError(f"unhandled term {t!r}", t.span.line, t.span.col)
-        self.term_types[key] = ty
-        return ty
+            return (unit, unit)
+        if isinstance(t, ast.Paren):
+            return self.term(t.inner)
+        raise TypecheckError(f"unhandled term {t!r}", t.span.line, t.span.col)
 
     def tripleexpr(self, e: ast.TripleExpr):
         inst = self.inst

@@ -20,7 +20,6 @@ so the full additivity and multiplicativity suites can run in one category.
 from __future__ import annotations
 
 from .core import Capabilities, Morphism, ObjectRef
-from .errors import DomainMismatch
 from .vect import MatrixCategory
 from ._rat import rat, rat_str
 
@@ -75,22 +74,3 @@ class GradedVect(MatrixCategory):
         self._own_obj(x)
         self._own_obj(y)
         return self._swap_matrix(x, y, lambda a, b: 1)
-
-    def mor_from_blocks(self, x: ObjectRef, y: ObjectRef, blocks: dict) -> Morphism:
-        """Morphism from per-degree matrices {degree: rows}; off-degree
-        entries are impossible by construction."""
-        ent = {}
-        xs = {d: [j for j, e in enumerate(x.payload) if e == d] for d in set(x.payload)}
-        ys = {d: [i for i, e in enumerate(y.payload) if e == d] for d in set(y.payload)}
-        for d, rows in blocks.items():
-            cols_idx = xs.get(d, [])
-            rows_idx = ys.get(d, [])
-            if len(rows) != len(rows_idx) or any(len(r) != len(cols_idx) for r in rows):
-                raise DomainMismatch(f"degree-{d} block has the wrong shape")
-            for bi, row in enumerate(rows):
-                for bj, v in enumerate(row):
-                    if v:
-                        ent[(rows_idx[bi], cols_idx[bj])] = rat(v)
-        from .matrices import RatMatrix
-
-        return self.mor(x, y, RatMatrix(len(y.payload), len(x.payload), ent))

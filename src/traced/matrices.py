@@ -72,10 +72,6 @@ class RatMatrix:
         return ((self.rows, self.cols, self.den, self.num)
                 == (other.rows, other.cols, other.den, other.num))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     @property

@@ -84,9 +84,6 @@ class MatrixCategory(CategoryInstance):
                 )
         return Morphism(self.instance_id, x, y, matrix)
 
-    def matrix(self, f: Morphism) -> RatMatrix:
-        return f.payload
-
     def scalar_value(self, f: Morphism):
         if not self.is_scalar(f):
             raise DomainMismatch("not a scalar (I -> I) morphism")

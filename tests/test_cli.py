@@ -156,6 +156,33 @@ def test_eval_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("program, line", [
+    ("instance graded(q=1/0)\n", "1:19: zero denominator in 1/0"),
+    ("instance finvect\nobj X = 1\nmor f : X -> X = [[1/0]]\n",
+     "3:20: zero denominator in 1/0"),
+    ("instance rbord1\nobj X = pts{x}\nmor f : X -> X = bord{x->x : 1/0}\n",
+     "3:30: zero denominator in 1/0"),
+    ("instance rbord1\nmor f : I -> I = bord{loop: 1/0}\n", "2:29: zero denominator in 1/0"),
+    ("instance rbord1\nobj X = pts{x}\nmor f : X -> X = bord{x->x : 1}\n"
+     "print(trace_hat(cut(f, 1/0)))\n", "4:24: zero denominator in 1/0"),
+    ("instance finvect\nobj X = \u00b2\n", "2:9: unexpected character '\u00b2'"),
+], ids=["graded-q", "matrix-entry", "arc-length", "loop-length", "cut-fraction", "superscript"])
+def test_eval_rejects_bad_numbers_with_a_position(tmp_path, capsys, program, line):
+    path = tmp_path / "bad.diag"
+    path.write_text(program)
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out, err) == (2, "", f"{path}:{line}\n")
+
+
+@pytest.mark.parametrize("q", ["1", "-1", "0"])
+def test_eval_rejects_bad_graded_q_at_the_header(tmp_path, capsys, q):
+    path = tmp_path / "bad_q.diag"
+    path.write_text(f"# a comment line\ninstance graded(q={q})\nobj X = graded{{0: 1}}\n")
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}:2:1: q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)\n"
+
+
 def test_demo_partition(tmp_path, capsys):
     matrix = tmp_path / "a.json"
     matrix.write_text('[["1", "1"], ["0", "1"]]')

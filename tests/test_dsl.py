@@ -1,12 +1,16 @@
 import pathlib
+import random
+import re
 
 import pytest
 
 from traced import canonical_thickener, get_instance, rat_str, tr_hat, trace_pairing
 from traced.dsl import ast, parse, pretty, run_text, tokenize, typecheck
-from traced.errors import LexError, ParseError, TypecheckError
+from traced.dsl.parser import FORMS
+from traced.errors import LexError, ParseError, TracedError, TypecheckError
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "traced" / "data" / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "src" / "traced" / "data" / "corpus"
 
 
 def corpus_texts():
@@ -185,3 +189,63 @@ def test_corpus_instances_covered():
     assert "instance supervect" in headers
     assert "instance rbord1" in headers
     assert any(h.startswith("instance graded(") for h in headers)
+
+
+def test_instance_errors_carry_the_term_position():
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse("instance rbord1\nobj X = pts{x}\nprint(s(X, X))\n"))
+    assert str(err.value) == "3:7: label collision in disjoint union: ('x',) + ('x',)"
+    with pytest.raises(TypecheckError) as err:  # a nested DSL error keeps its own position
+        typecheck(parse("instance finvect\nobj X = 2\nprint(id(X) ; nope)\n"))
+    assert str(err.value) == "3:15: unknown morphism 'nope'"
+
+
+def test_every_builtin_form_is_in_the_grammar_with_its_arguments():
+    ebnf = (ROOT / "docs" / "grammar.ebnf").read_text()
+    nonterminal = {"objexpr": "objexpr", "term": "term", "tripleexpr": "tripleexpr",
+                   "unsigned_int": "INT", "rational": "rational"}
+    for name, (_node, fields) in FORMS.items():
+        match = re.search(rf'"{name}", "\(", (.*?), "\)"', ebnf)
+        assert match, name
+        assert match.group(1).split(', ",", ') == [nonterminal[kind] for _f, kind in fields]
+
+
+# Replacements keep a token's kind, so that many mutants get past the parser.
+# No integer above 2: allocation limits are a separate concern.
+FUZZ_REPLACEMENTS = {
+    "number": ("0", "1", "2", "1/2", "1/0", "\u00b2", "- 1"),
+    "name": ("q=1", "X", "x", "I", "id", "s", "c", "theta", "ev", "coev", "trace_hat",
+             "pairing", "cut", "thicken", "dual", "super", "graded", "pts", "bord", "iso",
+             "loop", "cap", "cup"),
+    "symbol": ("->", "(", ")", "{", "}", "[", "]", ",", ":", ";", "*", "=", "-"),
+}
+
+
+def token_mutants(seed, per_program):
+    """Corpus programs with one token deleted, duplicated or replaced."""
+    rng = random.Random(seed)
+    for path in corpus_texts():
+        tokens = tokenize(path.read_text())[:-1]
+        words = [t.text for t in tokens]
+        for _ in range(per_program):
+            i = rng.randrange(len(words))
+            op = rng.randrange(3)
+            if op == 0:
+                mutant = words[:i] + words[i + 1:]
+            elif op == 1:
+                mutant = words[:i + 1] + words[i:]
+            else:
+                mutant = words[:i] + [rng.choice(FUZZ_REPLACEMENTS[tokens[i].kind])] + words[i + 1:]
+            yield " ".join(mutant)
+
+
+def test_token_mutants_evaluate_or_raise_traced_error():
+    outcomes = set()
+    for text in token_mutants(seed=7, per_program=40):
+        try:
+            run_text(text)
+            outcomes.add("evaluated")
+        except TracedError as exc:
+            outcomes.add(type(exc).__name__)
+    # the mutants reach every stage, not only the parser
+    assert {"evaluated", "LexError", "ParseError", "TypecheckError"} <= outcomes
