@@ -9,7 +9,11 @@ scalar crosses the API, serde or DSL boundary.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as rat
+
+# The form `rat_str` writes: ASCII digits, an optional sign, no exponent.
+_RAT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_str(x) -> str:
@@ -18,5 +22,10 @@ def rat_str(x) -> str:
 
 
 def parse_rat(text: str):
-    """Parse "p" or "p/q" into an exact rational."""
-    return rat(text.strip())
+    """Parse "p" or "p/q" (surrounding blanks allowed) into an exact
+    rational.  Anything else raises ValueError, so an exponent such as
+    "1e999999999" is refused before any digit is computed."""
+    m = _RAT.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational of the form p or p/q: {text!r}")
+    return rat(int(m[1]), int(m[2] or 1))

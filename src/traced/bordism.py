@@ -17,6 +17,13 @@ morphism; the canonical form stores it as the empty bordism.  Zero-length
 arcs never appear in user-built bordisms, but show up transiently when a
 bordism is tensored with an identity isometry; a composite whose arcs all
 have length zero collapses back to an isometry.
+
+Every length is a `rat`.  It becomes one once, where it enters: `bord_mor`,
+`circles_mor` and the cut fraction of `cut_thickener` convert whatever they
+are given, and nothing else converts a length again.  `compose`, `tensor`
+and `glue_trace` reuse the `rat` objects of their operands, making a new
+one only for a sum.  An isometry strand seen as an arc carries the one
+shared zero `_ZERO`, which chain sums skip.
 """
 
 from __future__ import annotations
@@ -29,12 +36,37 @@ from ._rat import rat
 
 IN = "in"
 OUT = "out"
+_ZERO = rat(0)
+_G_TAG = {IN: "gin", OUT: "gout"}
 
 
-def _canon_arc(a, b, length):
-    a = (a[0], a[1])
-    b = (b[0], b[1])
-    return (a, b, length) if a <= b else (b, a, length)
+def _chains(arcs, glue, ends=()):
+    """Walk every chain of `arcs` (end, end, length) glued end to end.
+    `glue` maps each inner arc end to the end glued to it, and holds no outer
+    end.  The chains starting at the outer `ends` are open; the chains left
+    over close up.  Returns the open chains as (start, end, length) and the
+    lengths of the closed ones."""
+    arc_at, visited = {}, set()
+    for (a, b, l) in arcs:
+        arc_at[a] = (b, l)
+        arc_at[b] = (a, l)
+
+    def walk(start):
+        total = _ZERO
+        cur = start
+        while True:
+            visited.add(cur)
+            nxt, l = arc_at[cur]
+            visited.add(nxt)
+            if l is not _ZERO:
+                total = l if total is _ZERO else total + l
+            cur = glue.get(nxt)
+            if cur is None or cur == start:
+                return nxt, total
+
+    opened = [(start, *walk(start)) for start in ends if start not in visited]
+    closed = [walk(node)[1] for node in arc_at if node not in visited]
+    return opened, closed
 
 
 @dataclass(frozen=True)
@@ -47,8 +79,13 @@ class Bord:
 
     @staticmethod
     def make(arcs, circles=()):
-        arcs = tuple(sorted(_canon_arc(a, b, rat(l)) for (a, b, l) in arcs))
-        return Bord(arcs, tuple(sorted(rat(c) for c in circles)))
+        canon = []
+        for (a, b, l) in arcs:
+            if type(l) is not rat:
+                l = rat(l)
+            canon.append((a, b, l) if a <= b else (b, a, l))
+        canon.sort()
+        return Bord(tuple(canon), tuple(sorted(c if type(c) is rat else rat(c) for c in circles)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +96,8 @@ class Iso:
 
     @staticmethod
     def make(pairs):
-        return Iso(tuple(sorted((str(a), str(b)) for (a, b) in pairs)))
+        """`pairs` of label strings, as `points` and `iso_mor` make them."""
+        return Iso(tuple(sorted(pairs)))
 
     def as_dict(self):
         return dict(self.mapping)
@@ -98,7 +136,7 @@ class RBord1(CategoryInstance):
             if (
                 not payload.circles
                 and payload.arcs
-                and all(l == 0 for (_a, _b, l) in payload.arcs)
+                and not any(l for (_a, _b, l) in payload.arcs)
                 and all(a[0] == IN and b[0] == OUT for (a, b, _l) in payload.arcs)
             ):
                 payload = Iso.make((a[1], b[1]) for (a, b, _l) in payload.arcs)
@@ -125,7 +163,8 @@ class RBord1(CategoryInstance):
         canon = []
         for (a, b, l) in arcs:
             a, b = (a[0], str(a[1])), (b[0], str(b[1]))
-            l = rat(l)
+            if type(l) is not rat:
+                l = rat(l)
             if l <= 0:
                 raise DomainMismatch(f"arc length must be positive, got {l}")
             for e in (a, b):
@@ -138,9 +177,9 @@ class RBord1(CategoryInstance):
         if seen != boundary:
             missing = boundary - seen
             raise DomainMismatch(f"boundary points not matched: {sorted(missing)}")
-        for c in circles:
-            if rat(c) <= 0:
-                raise DomainMismatch("circle length must be positive")
+        circles = [c if type(c) is rat else rat(c) for c in circles]
+        if any(c <= 0 for c in circles):
+            raise DomainMismatch("circle length must be positive")
         return self._normalize(src, tgt, Bord.make(canon, circles))
 
     def interval(self, x: str, y: str, length) -> Morphism:
@@ -166,9 +205,8 @@ class RBord1(CategoryInstance):
     @staticmethod
     def _arc_form(f: Morphism):
         if isinstance(f.payload, Bord):
-            return list(f.payload.arcs), list(f.payload.circles)
-        zero = rat(0)
-        return [((IN, a), (OUT, b), zero) for (a, b) in f.payload.mapping], []
+            return f.payload.arcs, f.payload.circles
+        return tuple(((IN, a), (OUT, b), _ZERO) for (a, b) in f.payload.mapping), ()
 
     def compose(self, g: Morphism, f: Morphism) -> Morphism:
         """Glue f then g along their shared boundary, adding arc lengths;
@@ -179,64 +217,20 @@ class RBord1(CategoryInstance):
             return self._normalize(f.source, g.target,
                                    Iso.make((a, gm[b]) for (a, b) in fm.items()))
 
+        # g's arc ends are retagged "gin"/"gout" so that they cannot collide
+        # with f's; (OUT, m) and ("gin", m) are glued for every middle point m.
         f_arcs, f_circ = self._arc_form(f)
         g_arcs, g_circ = self._arc_form(g)
-        # Nodes are tagged so that f's and g's label spaces cannot collide;
-        # ("fout", m) and ("gin", m) are glued for every middle point m.
-        arc_at = {}
-
-        def add_arc(tagged_a, tagged_b, length):
-            arc_at[tagged_a] = (tagged_b, length)
-            arc_at[tagged_b] = (tagged_a, length)
-
-        for (a, b, l) in f_arcs:
-            add_arc(("f" + a[0], a[1]), ("f" + b[0], b[1]), l)
-        for (a, b, l) in g_arcs:
-            add_arc(("g" + a[0], a[1]), ("g" + b[0], b[1]), l)
-
-        def cross(node):
-            tag, label = node
-            if tag == "fout":
-                return ("gin", label)
-            if tag == "gin":
-                return ("fout", label)
-            return None
-
-        outer = {("fin", x): (IN, x) for x in f.source.payload}
+        g_arcs = [((_G_TAG[a[0]], a[1]), (_G_TAG[b[0]], b[1]), l) for (a, b, l) in g_arcs]
+        glue = {}
+        for m in f.target.payload:
+            glue[(OUT, m)] = ("gin", m)
+            glue[("gin", m)] = (OUT, m)
+        outer = {(IN, x): (IN, x) for x in f.source.payload}
         outer.update({("gout", y): (OUT, y) for y in g.target.payload})
-
-        visited = set()
-        arcs, circles = [], list(f_circ) + list(g_circ)
-        for start in outer:
-            if start in visited:
-                continue
-            visited.add(start)
-            total = rat(0)
-            cur = start
-            while True:
-                nxt, l = arc_at[cur]
-                total += l
-                visited.add(nxt)
-                if nxt in outer:
-                    arcs.append((outer[start], outer[nxt], total))
-                    break
-                cur = cross(nxt)
-                visited.add(cur)
-        for node in arc_at:
-            if node in visited or node in outer:
-                continue
-            total = rat(0)
-            cur = node
-            while True:
-                visited.add(cur)
-                nxt, l = arc_at[cur]
-                total += l
-                visited.add(nxt)
-                cur = cross(nxt)
-                if cur == node:
-                    circles.append(total)
-                    break
-        return self._normalize(f.source, g.target, Bord.make(arcs, circles))
+        opened, closed = _chains((*f_arcs, *g_arcs), glue, outer)
+        arcs = [(outer[start], outer[end], total) for (start, end, total) in opened]
+        return self._normalize(f.source, g.target, Bord.make(arcs, [*f_circ, *g_circ, *closed]))
 
     def tensor(self, f: Morphism, g: Morphism) -> Morphism:
         self._own_mor(f)
@@ -294,7 +288,7 @@ class RBord1(CategoryInstance):
         self._own_mor(sigma)
         if not isinstance(sigma.payload, Bord):
             raise NotBordism("isometries are thin; only bordisms can be cut")
-        r = rat(cut_fraction)
+        r = cut_fraction if type(cut_fraction) is rat else rat(cut_fraction)
         if not (0 < r < 1):
             raise DomainMismatch("cut fraction must lie strictly between 0 and 1")
         x_obj, y_obj = sigma.source, sigma.target
@@ -341,29 +335,9 @@ class RBord1(CategoryInstance):
             raise NotBordism("only bordisms can be glued up")
         if sigma.source != sigma.target:
             raise NotEndo("gluing requires an endomorphism bordism")
-        arc_at = {}
-        for (a, b, l) in sigma.payload.arcs:
-            arc_at[a] = (b, l)
-            arc_at[b] = (a, l)
-
-        def cross(node):
-            side, label = node
-            return (OUT if side == IN else IN, label)
-
-        circles = list(sigma.payload.circles)
-        visited = set()
-        for node in arc_at:
-            if node in visited:
-                continue
-            total = rat(0)
-            cur = node
-            while True:
-                visited.add(cur)
-                nxt, l = arc_at[cur]
-                total += l
-                visited.add(nxt)
-                cur = cross(nxt)
-                if cur == node:
-                    circles.append(total)
-                    break
-        return self.circles_mor(circles)
+        glue = {}
+        for x in sigma.source.payload:
+            glue[(IN, x)] = (OUT, x)
+            glue[(OUT, x)] = (IN, x)
+        closed = _chains(sigma.payload.arcs, glue)[1]
+        return self.circles_mor([*sigma.payload.circles, *closed])

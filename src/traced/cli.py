@@ -7,10 +7,12 @@
 
 Exit codes: `check` is nonzero iff any suite fails; `eval` exits 1 iff an
 assertion fails; `check --replay` is nonzero iff some stored counterexample
-no longer reproduces.  Exit code 2 means unusable input (an unknown suite,
-a `--q` the graded instance rejects, a `--trials` below 1, a non-integer
-TRACED_SEED, a missing or malformed replay file, a rejected .diag program),
-reported in one line on stderr.  TRACED_SEED overrides the
+no longer reproduces; `demo partition` exits 1 iff the partition identity
+fails.  Exit code 2 means unusable input (an unknown suite, a `--q` that is
+not `p` or `p/q` or that the graded instance rejects, a `--trials` below 1,
+a non-integer TRACED_SEED, a missing or malformed replay file, a rejected
+.diag program, a missing or malformed `--matrix` file, a `--length` below
+1), reported in one line on stderr.  TRACED_SEED overrides the
 default seed.
 """
 
@@ -164,10 +166,14 @@ def cmd_eval(args) -> int:
 
 
 def _load_matrix(path: str):
+    """The matrix in a JSON file of rows whose entries are integers or
+    "p/q" strings."""
     from .matrices import RatMatrix
 
     with open(path) as fh:
         rows = json.load(fh)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("the matrix must be a JSON list of rows")
     return RatMatrix.from_rows([[parse_rat(str(v)) for v in row] for row in rows])
 
 
@@ -176,10 +182,14 @@ def cmd_demo_partition(args) -> int:
     from .field_theory import field_theory
     from .thickened import canonical_thickener, trace_pairing
 
-    a = _load_matrix(args.matrix)
     n = args.length
     if n <= 0:
         print("length must be a positive integer", file=sys.stderr)
+        return 2
+    try:
+        e = field_theory(_load_matrix(args.matrix))
+    except (OSError, ValueError, ZeroDivisionError, TracedError) as exc:
+        print(f"cannot use --matrix {args.matrix}: {exc}", file=sys.stderr)
         return 2
     rb = get_instance("rbord1")
     vect = get_instance("finvect")
@@ -193,7 +203,6 @@ def cmd_demo_partition(args) -> int:
     else:
         s1 = rb.interval("x", "y", n - cut)
         s2 = rb.interval("y", "x", cut)
-    e = field_theory(a)
     sigma = rb.compose(s1, s2)
     glued = rb.glue_trace(sigma)
     lhs = parse_rat("1")
@@ -206,7 +215,7 @@ def cmd_demo_partition(args) -> int:
     if args.float_mode:
         from .field_theory import float_circle_value
 
-        h = [[float(v) for v in row] for row in a.to_rows()]
+        h = [[float(v) for v in row] for row in e.a.to_rows()]
         approx = float_circle_value(h, float(n))
         print(f"  float mode (exp(-t*H) circle)  : {approx:.9f}  [demo only]")
     if lhs != rhs:

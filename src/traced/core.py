@@ -199,7 +199,8 @@ def get_instance(instance_id: str) -> CategoryInstance:
     """Resolve an instance id such as "finvect" or "graded(q=2)".
 
     Known instances are created lazily and cached, so object and morphism
-    values with equal instance ids always share one instance object.
+    values with equal instance ids always share one instance object; so do
+    spellings of one graded instance ("graded(q=6/4)", "graded(q=3/2)").
     """
     if instance_id in _REGISTRY:
         return _REGISTRY[instance_id]
@@ -212,9 +213,12 @@ def get_instance(instance_id: str) -> CategoryInstance:
     if instance_id == "rbord1":
         return register_instance(bordism.RBord1())
     if instance_id.startswith("graded(q=") and instance_id.endswith(")"):
-        from ._rat import parse_rat
+        from ._rat import parse_rat, rat_str
 
         q = parse_rat(instance_id[len("graded(q=") : -1])
+        canonical = f"graded(q={rat_str(q)})"  # "q=6/4" is "q=3/2"
+        if canonical in _REGISTRY:
+            return _REGISTRY[canonical]
         return register_instance(graded.GradedVect(q))
     raise KeyError(f"unknown instance id {instance_id!r}")
 

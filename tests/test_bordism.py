@@ -2,6 +2,7 @@ import pytest
 
 from traced import get_instance, psi, tr_hat, trace_pairing, rat
 from traced.bordism import IN, OUT, Bord, Iso
+from traced.core import Morphism
 from traced.errors import DomainMismatch, NotBordism, NotEndo
 from traced.gens import gen_bordism, gen_point_set, gen_triple, trial_stream
 
@@ -194,3 +195,65 @@ def test_mor_equal_canonical_forms():
     assert rb.mor_equal(a, b)
     c = rb.bord_mor(x, u, [((IN, "x"), (OUT, "u"), 1)], circles=[2, 2])
     assert not rb.mor_equal(a, c)
+
+
+def lengths(f):
+    """Every arc and circle length of a bordism."""
+    return [l for (_a, _b, l) in f.payload.arcs] + list(f.payload.circles)
+
+
+def test_every_public_path_stores_rat_lengths():
+    """Lengths given as ints become rats where they enter, and every
+    bordism built from those keeps rats, never ints."""
+    x, y, uv = rb.points(["x"]), rb.points(["y"]), rb.points(["u", "v"])
+    f = rb.bord_mor(x, y, [((IN, "x"), (OUT, "y"), 3)], circles=[2])
+    g = rb.interval("y", "x", 1)
+    cup = rb.bord_mor(uv, rb.unit_object(), [((IN, "u"), (IN, "v"), 4)])
+    to_x = rb.iso_mor(y, x, {"y": "x"})
+    from_y = rb.iso_mor(rb.points(["w"]), x, {"w": "x"})
+    sigma = rb.compose(g, f)
+    tri = rb.cut_thickener(sigma, rat(1, 3))
+    made = Bord.make([((IN, "x"), (OUT, "y"), 5)], [3])
+    assert type(made.arcs[0][2]) is rat and type(made.circles[0]) is rat
+    built = [
+        f, g, cup, sigma, tri.t, tri.b,
+        rb.circles_mor([1, 2]),
+        rb.compose(to_x, f),
+        rb.compose(f, from_y),
+        rb.tensor(f, rb.identity(uv)),
+        rb.tensor(rb.identity(rb.points(["p"])), cup),
+        rb.glue_trace(sigma),
+    ]
+    for mor in built:
+        assert isinstance(mor.payload, Bord)
+        assert lengths(mor) and all(type(l) is rat for l in lengths(mor)), mor.payload
+
+
+def test_rebuilt_bordisms_reuse_their_lengths():
+    """compose with an isometry, tensor with an identity and glue_trace of a
+    single strand add no length, so they keep the very rat objects."""
+    x, y, u = rb.points(["x"]), rb.points(["y"]), rb.points(["u"])
+    f = rb.interval("x", "y", 3)
+    (length,) = lengths(f)
+    assert lengths(rb.compose(rb.iso_mor(y, u, {"y": "u"}), f))[0] is length
+    assert lengths(rb.compose(f, rb.iso_mor(u, x, {"u": "x"})))[0] is length
+    assert any(l is length for l in lengths(rb.tensor(f, rb.identity(u))))
+    loop = rb.interval("x", "x", 3)
+    assert lengths(rb.glue_trace(loop))[0] is lengths(loop)[0]
+
+
+def test_zero_length_composites_collapse_to_isometries():
+    """Isometry strands carry length zero; a composite with no positive
+    length left is an isometry again, whichever zero object it carries."""
+    p, u = rb.points(["p"]), rb.points(["u"])
+    swap = rb.switching(p, u)
+    thin = rb.tensor(rb.identity(p), rb.identity(u))
+    assert isinstance(thin.payload, Iso)
+    assert isinstance(rb.compose(swap, thin).payload, Iso)
+    # hand-built bordisms whose only arcs have length zero (int or rat)
+    x, y, z = rb.points(["x"]), rb.points(["y"]), rb.points(["z"])
+    f = Morphism("rbord1", x, y, Bord.make([((IN, "x"), (OUT, "y"), 0)]))
+    g = Morphism("rbord1", y, z, Bord.make([((IN, "y"), (OUT, "z"), rat(0))]))
+    out = rb.compose(g, f)
+    assert isinstance(out.payload, Iso)
+    assert out.payload.as_dict() == {"x": "z"}

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
+from traced import parse_rat, rat
 from traced.cli import main
+from traced.serde import load_value
 from traced.suites import REGISTRY
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "traced" / "data" / "corpus"
@@ -235,6 +237,59 @@ def test_check_rejects_bad_q_before_running(capsys, flag, value):
     """A bad --q or a --trials below 1 exits 2 with one stderr line."""
     assert_input_error(*run_cli(capsys, "check", "--suite", "core.laws.finvect",
                                 "--trials", "1", flag, value))
+
+
+@pytest.mark.parametrize("q", ["1e3", "1E+3", "1_000", "1.5", "\u0663"])
+def test_check_rejects_q_outside_p_or_p_over_q(capsys, q):
+    """--q takes only `p` or `p/q` in ASCII digits: an exponent, an
+    underscore, a decimal point or a non-ASCII digit exits 2."""
+    assert_input_error(*run_cli(capsys, "check", "--suite", "core.laws.finvect",
+                                "--trials", "1", "--q", q))
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E+3", "1_000", "1.5", "\u0663", "", "3/", "/2",
+                                  "3 / 2", "--1", "1/-2"])
+def test_parse_rat_rejects_other_forms(text):
+    with pytest.raises(ValueError):
+        parse_rat(text)
+
+
+def test_parse_rat_reads_p_and_p_over_q():
+    assert parse_rat(" -6/4 ") == rat(-3, 2)
+    assert parse_rat("+7") == 7 and type(parse_rat("7")) is rat
+    with pytest.raises(ZeroDivisionError):
+        parse_rat("1/0")
+
+
+def test_replayed_lengths_and_values_use_the_same_grammar():
+    """Replay files go through parse_rat too, so an exponent is refused
+    there before any digit is computed."""
+    bord = {"kind": "bord-mor", "instance": "rbord1", "source": ["x"], "target": ["x"],
+            "arcs": [[["in", "x"], ["out", "x"], "1e3"]], "circles": []}
+    with pytest.raises(ValueError):
+        load_value(bord)
+    with pytest.raises(ValueError):
+        load_value({"kind": "rat", "value": "1E+3"})
+
+
+@pytest.mark.parametrize("content", [
+    None,  # missing file
+    "[[1, 2], [3]]",
+    '[[1, "x"], [0, 1]]',
+    "[]",
+    "[[1, 2]]",
+    "{not json",
+    "[[0.5]]",  # a JSON float is neither an integer nor a "p/q" string
+    "[1, 2]",
+    "5",
+])
+def test_demo_partition_rejects_bad_matrix_files(tmp_path, capsys, content):
+    """Exit 2 is a rejected input; exit 1 stays the identity failing."""
+    path = tmp_path / "matrix.json"
+    if content is not None:
+        path.write_text(content)
+    assert_input_error(*run_cli(capsys, "demo", "partition", "--matrix", str(path),
+                                "--length", "3"))
 
 
 def test_check_rejects_non_integer_traced_seed(capsys, monkeypatch):

@@ -13,6 +13,19 @@ def test_instance_id_round_trip():
     assert get_instance("graded(q=3/2)").q == rat(3, 2)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("graded(q=6/10)", "graded(q=3/5)"),
+    ("graded(q=5/9)", "graded(q=10/18)"),
+])
+def test_spellings_of_one_q_share_one_instance(first, second):
+    """An unreduced q names the same instance as its lowest terms, in
+    either call order, and does not replace the cached one."""
+    a = get_instance(first)
+    assert get_instance(second) is a
+    assert get_instance(first) is a
+    assert a.instance_id in (first, second) and "/10)" not in a.instance_id
+
+
 def test_braiding_scalars():
     a, b = g2.line(1), g2.line(1)
     assert g2.braiding_c(a, b).payload.to_rows() == [[2]]
