@@ -189,7 +189,7 @@ class RBord1(CategoryInstance):
 
     def circles_mor(self, lengths) -> Morphism:
         unit = self.unit_object()
-        return self._normalize(unit, unit, Bord.make((), lengths))
+        return self.bord_mor(unit, unit, (), lengths)
 
     # category structure --------------------------------------------------------
 

@@ -180,7 +180,6 @@ def _load_matrix(path: str):
 def cmd_demo_partition(args) -> int:
     from .core import get_instance
     from .field_theory import field_theory
-    from .thickened import canonical_thickener, trace_pairing
 
     n = args.length
     if n <= 0:
@@ -192,10 +191,7 @@ def cmd_demo_partition(args) -> int:
         print(f"cannot use --matrix {args.matrix}: {exc}", file=sys.stderr)
         return 2
     rb = get_instance("rbord1")
-    vect = get_instance("finvect")
-    cut = max(1, n // 2)
-    if cut == n:
-        cut = n - 1 if n > 1 else 0
+    cut = n // 2
     if cut == 0:
         s1 = rb.interval("x", "y", n)
         s2 = rb.iso_mor(rb.points(["y"]), rb.points(["x"]), {"y": "x"})
@@ -203,12 +199,7 @@ def cmd_demo_partition(args) -> int:
     else:
         s1 = rb.interval("x", "y", n - cut)
         s2 = rb.interval("y", "x", cut)
-    sigma = rb.compose(s1, s2)
-    glued = rb.glue_trace(sigma)
-    lhs = parse_rat("1")
-    for c in glued.payload.circles:
-        lhs *= e.circle_value(c)
-    rhs = vect.scalar_value(trace_pairing(canonical_thickener(e(s2)), e(s1)))
+    lhs, rhs = e.partition(s1, s2)
     print(f"closed circle of total length {n}")
     print(f"  evaluation of the glued bordism : {rat_str(lhs)}")
     print(f"  trace pairing of the two pieces : {rat_str(rhs)}")

@@ -1,12 +1,20 @@
 """Field-theory functors from 1-d bordisms to exact linear algebra.
 
-The exact functor assigns the same rational vector space Q^d to every
-point, sends an isometry to the permutation of tensor factors, an arc of
-integer length n from an in-point to an out-point to the matrix power A^n,
-and a circle of length n to the scalar classtr(A^n).  Monoidal structure is
-the Kronecker product.  Arcs must join an in-point to an out-point: a cap
-or cup traversal would need A to equal its own transpose, so evaluation on
-such bordisms is refused rather than silently wrong.
+The exact functor E assigns the same rational vector space Q^d to every
+point, so E(X) = Q^(d^|X|), and is monoidal: disjoint union goes to the
+Kronecker product.  A bordism f: X -> Y whose arcs have integer lengths
+n_1, ..., n_k, taken in source-label order, evaluates to
+
+    E(f) = P @ (E(circles) (x) A^(n_1) (x) ... (x) A^(n_k)),
+
+where E(circles) is the 1x1 matrix holding the product of classtr(A^n)
+over the free circles, and P is the permutation of tensor factors that
+carries each in-point's factor to the out-point its arc ends at.  An
+isometry is P alone.  A zero-length arc, which tensoring a bordism with an
+isometry leaves behind, contributes A^0 = I.  Arcs must join an in-point
+to an out-point: a cap or cup traversal would need A to equal its own
+transpose, so evaluation on such bordisms is refused rather than silently
+wrong.
 
 A float mode (interval of length t |-> exp(-t*H)) is provided for demos
 only; every verification suite uses the exact integer mode.
@@ -16,10 +24,11 @@ from __future__ import annotations
 
 import math
 
-from .bordism import IN, OUT, Bord, Iso
+from .bordism import IN, OUT, Iso
 from .core import Morphism, get_instance
 from .errors import DirectedBordismRequired, DomainMismatch, NonIntegerLength
 from .matrices import RatMatrix
+from .thickened import canonical_thickener, trace_pairing
 from ._rat import rat
 
 
@@ -32,18 +41,12 @@ class FieldTheory:
         self.a = a
         self.d = a.rows
         self.vect = get_instance("finvect")
-        self.rbord = get_instance("rbord1")
-        self._powers = {0: RatMatrix.identity(self.d), 1: a}
+        self._powers = {}
 
     def power(self, n: int) -> RatMatrix:
-        p = self._powers
-        if n not in p:
-            top = max(k for k in p if k <= n)
-            mat = p[top]
-            for k in range(top + 1, n + 1):
-                mat = mat @ self.a
-                p[k] = mat
-        return p[n]
+        if n not in self._powers:
+            self._powers[n] = self.a.power(n)
+        return self._powers[n]
 
     def obj(self, x):
         """E(X) = Q^(d^|X|)."""
@@ -63,11 +66,35 @@ class FieldTheory:
     def __call__(self, f: Morphism) -> Morphism:
         if f.instance_id != "rbord1":
             raise DomainMismatch("field theory evaluates 1-d bordism morphisms")
-        src, tgt = self.obj(f.source), self.obj(f.target)
+        src_labels, tgt_labels = f.source.payload, f.target.payload
         if isinstance(f.payload, Iso):
-            mat = self._permutation(f.source.payload, f.target.payload, f.payload.as_dict())
-            return self.vect.mor(src, tgt, mat)
-        return self.vect.mor(src, tgt, self._bordism_matrix(f))
+            mat = self._permutation(src_labels, tgt_labels, f.payload.as_dict())
+            return self.vect.mor(self.obj(f.source), self.obj(f.target), mat)
+        scalar = rat(1)
+        for c in f.payload.circles:
+            scalar *= self.circle_value(c)
+        mapping, powers = {}, {}
+        for (a, b, l) in f.payload.arcs:
+            if a[0] != IN or b[0] != OUT:
+                raise DirectedBordismRequired(
+                    f"arc {a} -- {b} does not run from an in-point to an out-point"
+                )
+            mapping[a[1]] = b[1]
+            powers[a[1]] = self.power(self._int_length(l) if l else 0)
+        factors = RatMatrix(1, 1, {(0, 0): scalar})
+        for x in src_labels:
+            factors = factors.kron(powers[x])
+        mat = self._permutation(src_labels, tgt_labels, mapping) @ factors
+        return self.vect.mor(self.obj(f.source), self.obj(f.target), mat)
+
+    def partition(self, s1: Morphism, s2: Morphism):
+        """The partition identity's sides (closed, paired) for s1: X -> Y and
+        s2: Y -> X: the value of the closed bordism glue_trace(s1 . s2), and
+        the trace pairing of the canonical thickening of E(s2) against E(s1)."""
+        rb = get_instance("rbord1")
+        closed = self.vect.scalar_value(self(rb.glue_trace(rb.compose(s1, s2))))
+        paired = self.vect.scalar_value(trace_pairing(canonical_thickener(self(s2)), self(s1)))
+        return closed, paired
 
     def _permutation(self, src_labels, tgt_labels, mapping) -> RatMatrix:
         n = len(src_labels)
@@ -81,42 +108,6 @@ class FieldTheory:
                 out[tgt_pos[mapping[lab]]] = digits[i]
             ent[(_undigits(out, d), col)] = 1
         return RatMatrix(d ** n, d ** n, ent)
-
-    def _bordism_matrix(self, f: Morphism) -> RatMatrix:
-        payload: Bord = f.payload
-        src_labels, tgt_labels = f.source.payload, f.target.payload
-        d = self.d
-        ops = {}
-        scalar = rat(1)
-        for c in payload.circles:
-            scalar *= self.circle_value(c)
-        for (a, b, l) in payload.arcs:
-            if a[0] == IN and b[0] == OUT:
-                ops[b[1]] = (a[1], self.power(self._int_length(l)))
-            else:
-                raise DirectedBordismRequired(
-                    f"arc {a} -- {b} does not run from an in-point to an out-point"
-                )
-        src_pos = {lab: k for k, lab in enumerate(src_labels)}
-        n_in, n_out = len(src_labels), len(tgt_labels)
-        ent = {}
-        for col in range(d ** n_in):
-            digits = _digits(col, d, n_in)
-            out_entries = {(): scalar}
-            for y in tgt_labels:
-                x, mat = ops[y]
-                j = digits[src_pos[x]]
-                new = {}
-                for prefix, v in out_entries.items():
-                    for i in range(d):
-                        w = mat.entry(i, j)
-                        if w:
-                            new[prefix + (i,)] = v * w
-                out_entries = new
-            for out_digits, v in out_entries.items():
-                if v:
-                    ent[(_undigits(list(out_digits), d), col)] = v
-        return RatMatrix(d ** n_out, d ** n_in, ent)
 
 
 def field_theory(a) -> FieldTheory:

@@ -55,9 +55,9 @@ class Stream:
     def chance(self, num: int, den: int) -> bool:
         return self.randint(1, den) <= num
 
-    def fraction(self, max_num: int = 3, max_den: int = 3, signed: bool = True):
-        num = self.randint(-max_num, max_num) if signed else self.randint(0, max_num)
-        return rat(num, self.randint(1, max_den))
+    def fraction(self):
+        num = self.randint(-3, 3)
+        return rat(num, self.randint(1, 3))
 
 
 def trial_stream(seed: int, suite_id: str, trial: int) -> Stream:
@@ -65,15 +65,14 @@ def trial_stream(seed: int, suite_id: str, trial: int) -> Stream:
     return Stream(int.from_bytes(digest[:8], "big"))
 
 
-def _fresh_label(rng: Stream, prefix: str = "p") -> str:
+def _fresh_label(rng: Stream, prefix: str) -> str:
     return f"{prefix}{rng.next_u64() % 100000:05d}"
 
 
 # -- objects -------------------------------------------------------------------
 
 
-def gen_object(inst, rng: Stream, max_dim: int = 4, max_degree: int = 4,
-               prefix: str = "p") -> ObjectRef:
+def gen_object(inst, rng: Stream, max_dim: int = 4, max_degree: int = 4) -> ObjectRef:
     iid = inst.instance_id
     if iid == "finvect":
         return inst.space(rng.randint(1, max_dim))
@@ -89,9 +88,6 @@ def gen_object(inst, rng: Stream, max_dim: int = 4, max_degree: int = 4,
             d = rng.randint(-max_degree, max_degree)
             degrees.extend([d] * rng.randint(1, 2))
         return inst.obj(sorted(degrees[: max(1, max_dim)]))
-    if iid == "rbord1":
-        labels = {_fresh_label(rng, prefix) for _ in range(rng.randint(0, max_dim))}
-        return inst.points(sorted(labels))
     raise KeyError(f"no object generator for {iid!r}")
 
 
@@ -157,10 +153,10 @@ def gen_bordism(inst, x: ObjectRef, y: ObjectRef, rng: Stream,
     return inst.bord_mor(x, y, arcs, circles)
 
 
-def gen_morphism(inst, x: ObjectRef, y: ObjectRef, rng: Stream, allow_iso: bool = True):
+def gen_morphism(inst, x: ObjectRef, y: ObjectRef, rng: Stream):
     iid = inst.instance_id
     if iid == "rbord1":
-        if allow_iso and len(x.payload) == len(y.payload) and rng.chance(1, 4):
+        if len(x.payload) == len(y.payload) and rng.chance(1, 4):
             perm = rng.shuffle(y.payload)
             return inst.iso_mor(x, y, dict(zip(x.payload, perm)))
         if (len(x.payload) + len(y.payload)) % 2:

@@ -1,39 +1,25 @@
-"""JSON (de)serialization of objects, morphisms and triples.
-
-Used for counterexample storage in suite reports (`--replay`) and for the
-pinned regression inputs shipped with the package.  Rationals are strings
-"p/q", objects are their payloads, morphisms are tagged by kind.
+"""JSON (de)serialization of suite inputs, for the counterexamples in suite
+reports (`--replay`) and the pinned regression inputs shipped with the
+package.  Suites draw only morphisms, rationals and corpus file names, so a
+value has one of five kinds: `matrix-mor`, `iso-mor`, `bord-mor`, `rat` (a
+"p/q" string) and `str`.  Any other value or kind raises TypeError.
 """
 
 from __future__ import annotations
 
-from .core import Morphism, ObjectRef, get_instance
+from .core import Morphism, get_instance
 from .matrices import RatMatrix
-from .thickened import ThickTriple
-from ._rat import parse_rat, rat_str
+from ._rat import parse_rat, rat, rat_str
 
 
 def dump_value(v):
-    if isinstance(v, ObjectRef):
-        return {"kind": "object", "instance": v.instance_id, "payload": list(v.payload)}
     if isinstance(v, Morphism):
         return _dump_morphism(v)
-    if isinstance(v, ThickTriple):
-        return {
-            "kind": "triple",
-            "dom": dump_value(v.dom),
-            "cod": dump_value(v.cod),
-            "z": dump_value(v.z),
-            "t": dump_value(v.t),
-            "b": dump_value(v.b),
-        }
-    if isinstance(v, bool):
-        return {"kind": "bool", "value": v}
-    if isinstance(v, int):
-        return {"kind": "int", "value": v}
     if isinstance(v, str):
         return {"kind": "str", "value": v}
-    return {"kind": "rat", "value": rat_str(v)}
+    if isinstance(v, rat):
+        return {"kind": "rat", "value": rat_str(v)}
+    raise TypeError(f"cannot serialize a {type(v).__name__} value")
 
 
 def _dump_morphism(m: Morphism):
@@ -64,12 +50,6 @@ def _dump_morphism(m: Morphism):
 
 def load_value(data):
     kind = data["kind"]
-    if kind == "object":
-        inst = get_instance(data["instance"])
-        payload = data["payload"]
-        if data["instance"] == "rbord1":
-            return inst.points(payload)
-        return inst.obj(payload)
     if kind == "matrix-mor":
         inst = get_instance(data["instance"])
         src = inst.obj(data["source"])
@@ -90,18 +70,6 @@ def load_value(data):
         tgt = inst.points(data["target"])
         arcs = [((a[0], a[1]), (b[0], b[1]), parse_rat(l)) for (a, b, l) in data["arcs"]]
         return inst.bord_mor(src, tgt, arcs, [parse_rat(c) for c in data["circles"]])
-    if kind == "triple":
-        return ThickTriple(
-            dom=load_value(data["dom"]),
-            cod=load_value(data["cod"]),
-            z=load_value(data["z"]),
-            t=load_value(data["t"]),
-            b=load_value(data["b"]),
-        )
-    if kind == "bool":
-        return data["value"]
-    if kind == "int":
-        return data["value"]
     if kind == "str":
         return data["value"]
     if kind == "rat":

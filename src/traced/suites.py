@@ -872,8 +872,21 @@ def _graded_endo_triples(inputs):
             _triple_from_inputs(inputs, "a", x1, x1), _triple_from_inputs(inputs, "b", x2, x2))
 
 
-def _tr_hat_with(inst, tr: ThickTriple, switch):
-    return inst.compose(tr.b, inst.compose(switch(tr.dom, tr.z), tr.t))
+def _switching_control(switch: str, detail: str):
+    """tr_hat multiplicativity with the method `switch` of the graded
+    instance in place of the balanced switching.  ok means the identity
+    HOLDS; a control suite passes if some trial returns ok = False."""
+    def check(inputs):
+        inst, tr1, tr2 = _graded_endo_triples(inputs)
+
+        def tr_hat_with(tr: ThickTriple):
+            return inst.compose(tr.b, inst.compose(getattr(inst, switch)(tr.dom, tr.z), tr.t))
+
+        lhs = tr_hat_with(tensor_triples(tr1, tr2))
+        rhs = inst.compose(tr_hat_with(tr1), tr_hat_with(tr2))
+        return inst.mor_equal(lhs, rhs), detail
+
+    return _gen_graded_endo_triples, check
 
 
 @family("balanced.negative-control", "whtr.3",
@@ -883,17 +896,7 @@ def _tr_hat_with(inst, tr: ThickTriple, switch):
         " suite reports FAIL (see the Notes of docs/traceability.md)",
         expect_counterexample=True)
 def negative_control(_key):
-    def check(inputs):
-        """ok means the multiplicativity identity HOLDS with the plain swap
-        in tr_hat; the suite passes if some trial returns ok = False."""
-        inst, tr1, tr2 = _graded_endo_triples(inputs)
-        tt = tensor_triples(tr1, tr2)
-        lhs = _tr_hat_with(inst, tt, inst.plain_swap)
-        rhs = inst.compose(_tr_hat_with(inst, tr1, inst.plain_swap),
-                           _tr_hat_with(inst, tr2, inst.plain_swap))
-        return inst.mor_equal(lhs, rhs), "plain-swap tr_hat multiplicativity violated"
-
-    return _gen_graded_endo_triples, check
+    return _switching_control("plain_swap", "plain-swap tr_hat multiplicativity violated")
 
 
 @family("balanced.twistless-control", "whtr.3",
@@ -901,15 +904,7 @@ def negative_control(_key):
         " multiplicativity: the balanced hypothesis is necessary",
         expect_counterexample=True, pinned="twistless_counterexample.json")
 def twistless_control(_key):
-    def check(inputs):
-        inst, tr1, tr2 = _graded_endo_triples(inputs)
-        tt = tensor_triples(tr1, tr2)
-        lhs = _tr_hat_with(inst, tt, inst.braiding_c)
-        rhs = inst.compose(_tr_hat_with(inst, tr1, inst.braiding_c),
-                           _tr_hat_with(inst, tr2, inst.braiding_c))
-        return inst.mor_equal(lhs, rhs), "twistless tr_hat multiplicativity violated"
-
-    return _gen_graded_endo_triples, check
+    return _switching_control("braiding_c", "twistless tr_hat multiplicativity violated")
 
 
 def tensor_triples_uniform_crossing(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
@@ -1033,19 +1028,8 @@ def partition(_key):
         return {"s1": s1, "s2": s2, "a": a}
 
     def check(inputs):
-        inst = get_instance("rbord1")
-        vect = get_instance("finvect")
-        s1, s2, a = inputs["s1"], inputs["s2"], inputs["a"]
-        e = field_theory(a.payload)
-        sigma = inst.compose(s1, s2)
-        glued = inst.glue_trace(sigma)
-        lhs = rat(1)
-        for c in glued.payload.circles:
-            lhs *= e.circle_value(c)
-        e2 = e(s2)
-        e1 = e(s1)
-        rhs = vect.scalar_value(trace_pairing(canonical_thickener(e2), e1))
-        return lhs == rhs, f"partition value {rat_str(lhs)} != pairing {rat_str(rhs)}"
+        closed, paired = field_theory(inputs["a"].payload).partition(inputs["s1"], inputs["s2"])
+        return closed == paired, f"partition value {rat_str(closed)} != pairing {rat_str(paired)}"
 
     return gen, check
 

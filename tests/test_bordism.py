@@ -117,6 +117,12 @@ def test_glue_trace_examples():
         rb.glue_trace(rb.identity(rb.points(["x"])))
 
 
+@pytest.mark.parametrize("lengths", [[-1], [0], [2, 0]])
+def test_circles_mor_rejects_nonpositive_lengths(lengths):
+    with pytest.raises(DomainMismatch):
+        rb.circles_mor(lengths)
+
+
 def test_cut_thickener_structure():
     sigma = rb.interval("x", "x", 5)
     tri = rb.cut_thickener(sigma, rat(1, 5))

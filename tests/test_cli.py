@@ -215,11 +215,12 @@ def test_demo_partition_swap_matrix(tmp_path, capsys):
 def test_demo_partition_identity_any_length(tmp_path, capsys):
     matrix = tmp_path / "i.json"
     matrix.write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
-    for n in (1, 4):
+    for n in (1, 2, 3, 4):
         code, out, _ = run_cli(capsys, "demo", "partition", "--matrix", str(matrix),
                                "--length", str(n))
         assert code == 0
         assert ": 3" in out
+        assert ("length 1 cannot be split" in out) == (n == 1)
 
 
 def assert_input_error(code, out, err):
@@ -309,6 +310,11 @@ def test_check_rejects_non_integer_traced_seed(capsys, monkeypatch):
     '{"suite": "whtr.1.finvect", "inputs": {}}',
     '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "matrix-mor"}}}',
     '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "rat", "value": "1/0"}}}',
+    '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "object", "instance": "finvect",'
+    ' "payload": [0, 0]}}}',
+    '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "triple", "dom": {}, "cod": {},'
+    ' "z": {}, "t": {}, "b": {}}}}',
+    '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "int", "value": 1}}}',
     '{"neither": 1}',
 ])
 def test_replay_rejects_bad_files(tmp_path, capsys, content):

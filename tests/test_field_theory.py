@@ -22,6 +22,31 @@ def test_identity_isometry_maps_to_identity():
     assert e(rb.identity(x)) == fv.identity(fv.space(4))
 
 
+def test_isometry_maps_to_the_permutation_of_factors():
+    """a, b, c go to the targets r, p, q, listed as (p, q, r): the factor of
+    a lands in the last position, so e_i (x) e_j (x) e_k -> e_j (x) e_k (x) e_i."""
+    e = field_theory([[1, 1], [0, 1]])
+    iso = rb.iso_mor(rb.points(["a", "b", "c"]), rb.points(["p", "q", "r"]),
+                     {"a": "r", "b": "p", "c": "q"})
+    ent = {(4 * j + 2 * k + i, 4 * i + 2 * j + k): 1
+           for i in range(2) for j in range(2) for k in range(2)}
+    assert e(iso) == fv.mor(fv.space(8), fv.space(8), RatMatrix(8, 8, ent))
+
+
+def test_isometries_compose_and_tensor_with_bordisms():
+    rng = trial_stream(22, "functor-iso", 0)
+    e = field_theory(RatMatrix.from_rows([[1, rat(1, 2)], [2, 0]]))
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        x = gen_point_set(rb, rng, n, prefix="x")
+        y = gen_point_set(rb, rng, n, prefix="y")
+        z = gen_point_set(rb, rng, n, prefix="w")
+        bord = gen_bordism(rb, x, y, rng, integer=True, directed=True)
+        iso = rb.iso_mor(y, z, dict(zip(y.payload, rng.shuffle(z.payload))))
+        assert e(rb.compose(iso, bord)) == fv.compose(e(iso), e(bord))
+        assert e(rb.tensor(bord, iso)) == fv.tensor(e(bord), e(iso))
+
+
 def test_interval_power():
     a = [[1, 1], [0, 1]]
     e = field_theory(a)
@@ -65,6 +90,7 @@ def test_partition_example_shear_matrix():
     assert lhs == 2
     rhs = fv.scalar_value(trace_pairing(canonical_thickener(e(s2)), e(s1)))
     assert rhs == 2
+    assert e.partition(s1, s2) == (lhs, rhs)
 
 
 def test_partition_identity_matrix():
