@@ -12,7 +12,8 @@ fails.  Exit code 2 means unusable input (an unknown suite, a `--q` that is
 not `p` or `p/q` or that the graded instance rejects, a `--trials` below 1,
 a non-integer TRACED_SEED, a missing or malformed replay file, a rejected
 .diag program, a missing or malformed `--matrix` file, a `--length` below
-1), reported in one line on stderr.  TRACED_SEED overrides the
+1, or a replay file, .diag program or `--matrix` file nested too deeply to
+read), reported in one line on stderr.  TRACED_SEED overrides the
 default seed.
 """
 
@@ -42,7 +43,7 @@ def _validate_report(doc: dict):
 
 # What JSON data of the wrong shape raises when read as replay entries.
 _BAD_DATA = (TracedError, KeyError, TypeError, ValueError, AttributeError, IndexError,
-             ZeroDivisionError)
+             ZeroDivisionError, RecursionError)
 
 
 def _replay_entries(path: str) -> list:
@@ -152,6 +153,9 @@ def cmd_eval(args) -> int:
     except TracedError as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"{args.file}: program nested too deeply", file=sys.stderr)
+        return 2
     from .dsl import AssertResult, PrintResult
 
     for r in report.results:
@@ -187,7 +191,7 @@ def cmd_demo_partition(args) -> int:
         return 2
     try:
         e = field_theory(_load_matrix(args.matrix))
-    except (OSError, ValueError, ZeroDivisionError, TracedError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, TracedError, RecursionError) as exc:
         print(f"cannot use --matrix {args.matrix}: {exc}", file=sys.stderr)
         return 2
     rb = get_instance("rbord1")

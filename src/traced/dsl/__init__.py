@@ -3,7 +3,8 @@
 Files use the .diag extension and start with an instance header; `;` chains
 diagrams left-to-right (the left factor runs first) and `*` tensors, with
 `*` binding tighter.  `traced eval FILE.diag` exits 0 iff every
-assert_equal in the file holds.
+assert_equal in the file holds, 1 if one fails, and 2 if the file cannot be
+read, the program is rejected or it is nested too deeply to check.
 """
 
 from .ast import Program

@@ -1,12 +1,15 @@
-"""Evaluation of typechecked programs against their instance."""
+"""Evaluation of typechecked programs against their instance.
+
+The type checker has already compiled every item to a closure; evaluation
+runs the compiled steps in program order and renders what they return.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..core import get_instance
-from ..thickened import canonical_thickener, tr_hat, trace_pairing
-from .._rat import parse_rat, rat_str
+from .._rat import rat_str
 from . import ast
 from .typecheck import TypedProgram
 
@@ -59,84 +62,15 @@ def render_value(inst, m) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-class Evaluator:
-    def __init__(self, tp: TypedProgram):
-        self.tp = tp
-        self.inst = get_instance(tp.instance_id)
-        self.triples: dict = {}
-
-    def run(self) -> EvalReport:
-        results = []
-        for item in self.tp.program.items:
-            if isinstance(item, ast.TripleDecl):
-                self.triples[item.name] = self.tripleexpr(item.expr)
-            elif isinstance(item, ast.PrintCmd):
-                value = self.term(item.term)
-                results.append(PrintResult(item.span.line, render_value(self.inst, value)))
-            elif isinstance(item, ast.AssertCmd):
-                left = self.term(item.left)
-                right = self.term(item.right)
-                results.append(
-                    AssertResult(
-                        item.span.line,
-                        self.inst.mor_equal(left, right),
-                        render_value(self.inst, left),
-                        render_value(self.inst, right),
-                    )
-                )
-        return EvalReport(results)
-
-    def objexpr(self, e):
-        from .typecheck import resolve_objexpr
-
-        return resolve_objexpr(self.inst, self.tp.objects, e)
-
-    def term(self, t: ast.Term):
-        inst = self.inst
-        if isinstance(t, ast.Gen):
-            return self.tp.morphisms[t.name]
-        if isinstance(t, ast.Id):
-            return inst.identity(self.objexpr(t.obj))
-        if isinstance(t, ast.Compose):
-            return inst.compose(self.term(t.after), self.term(t.before))
-        if isinstance(t, ast.Tensor):
-            return inst.tensor(self.term(t.left), self.term(t.right))
-        if isinstance(t, ast.S):
-            return inst.switching(self.objexpr(t.x), self.objexpr(t.y))
-        if isinstance(t, ast.C):
-            return inst.braiding_c(self.objexpr(t.x), self.objexpr(t.y))
-        if isinstance(t, ast.Theta):
-            return inst.twist_theta(self.objexpr(t.obj))
-        if isinstance(t, ast.Ev):
-            _, ev, _ = inst.dual_data(self.objexpr(t.obj))
-            return ev
-        if isinstance(t, ast.Coev):
-            _, _, coev = inst.dual_data(self.objexpr(t.obj))
-            return coev
-        if isinstance(t, ast.TraceHat):
-            return tr_hat(self.tripleexpr(t.triple))
-        if isinstance(t, ast.Pairing):
-            f = self.term(t.f)
-            g = self.term(t.g)
-            if inst.instance_id == "rbord1":
-                f_hat = inst.cut_thickener(f, parse_rat("1/2"))
-            else:
-                f_hat = canonical_thickener(f)
-            return trace_pairing(f_hat, g)
-        if isinstance(t, ast.Paren):
-            return self.term(t.inner)
-        raise AssertionError(f"unhandled term {t!r}")
-
-    def tripleexpr(self, e: ast.TripleExpr):
-        if isinstance(e, ast.TripleName):
-            return self.triples[e.name]
-        if isinstance(e, ast.Cut):
-            sigma = self.term(e.term)
-            return self.inst.cut_thickener(sigma, parse_rat(e.fraction))
-        if isinstance(e, ast.Thicken):
-            return canonical_thickener(self.term(e.term))
-        raise AssertionError(f"unhandled triple expression {e!r}")
-
-
 def evaluate(tp: TypedProgram) -> EvalReport:
-    return Evaluator(tp).run()
+    inst = get_instance(tp.instance_id)
+    results = []
+    for item, step in tp.steps:
+        value = step()
+        if isinstance(item, ast.PrintCmd):
+            results.append(PrintResult(item.span.line, render_value(inst, value)))
+        elif isinstance(item, ast.AssertCmd):
+            left, right = value
+            results.append(AssertResult(item.span.line, inst.mor_equal(left, right),
+                                        render_value(inst, left), render_value(inst, right)))
+    return EvalReport(results)

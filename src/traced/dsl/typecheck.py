@@ -1,9 +1,14 @@
-"""Dom/cod type checking for parsed programs.
+"""Dom/cod type checking for parsed programs, which also compiles them.
 
 Resolves objects, validates morphism literals against their declared types
 (shape, degree preservation, boundary matching), enforces the capability
 table of the target instance, and annotates every term with its inferred
 source and target.  All diagnostics carry the source span.
+
+The same walk compiles each item: a term or triple expression yields its
+type together with a closure, over the objects already resolved, that
+computes its value.  Each `triple`, `print` and `assert_equal` item becomes
+one step of the `TypedProgram`, and `evaluate` only runs the steps.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from ..core import ObjectRef, get_instance
 from ..errors import DslError, TracedError, TypecheckError
 from ..matrices import RatMatrix
+from ..thickened import canonical_thickener, tr_hat, trace_pairing
 from .._rat import parse_rat
 from . import ast
 
@@ -21,10 +27,10 @@ from . import ast
 class TypedProgram:
     instance_id: str
     program: ast.Program
-    objects: dict
-    morphisms: dict  # name -> Morphism (literals are static values)
-    triple_types: dict  # name -> (dom, cod)
     term_types: dict  # id(node) -> (src, tgt)
+    # (item, closure) per triple, print and assert_equal item, in program order; the
+    # closure binds the triple, or returns the printed morphism or the asserted pair
+    steps: list
 
 
 def _fmt_obj(x: ObjectRef) -> str:
@@ -39,55 +45,6 @@ def _at(exc: TracedError, span: ast.Span) -> TracedError:
     return TypecheckError(str(exc), span.line, span.col)
 
 
-def resolve_objexpr(inst, objects: dict, e: ast.ObjExpr) -> ObjectRef:
-    """Evaluate an object expression against bound object names; shared by
-    the checker and the evaluator."""
-    iid = inst.instance_id
-    if isinstance(e, ast.ObjName):
-        if e.name not in objects:
-            raise TypecheckError(f"unknown object {e.name!r}", e.span.line, e.span.col)
-        return objects[e.name]
-    if isinstance(e, ast.ObjUnit):
-        return inst.unit_object()
-    if isinstance(e, ast.ObjInt):
-        if iid != "finvect":
-            raise TypecheckError("bare dimensions are finvect objects only", e.span.line, e.span.col)
-        return inst.space(e.dim)
-    if isinstance(e, ast.ObjSuper):
-        if iid != "supervect":
-            raise TypecheckError("super(...) objects live in supervect", e.span.line, e.span.col)
-        return inst.space(e.even, e.odd)
-    if isinstance(e, ast.ObjGraded):
-        if not iid.startswith("graded"):
-            raise TypecheckError("graded{...} objects live in graded(q=...)", e.span.line, e.span.col)
-        dims: dict[int, int] = {}
-        for (deg, dim) in e.entries:
-            if deg in dims:
-                raise TypecheckError(f"degree {deg} listed twice", e.span.line, e.span.col)
-            dims[deg] = dim
-        return inst.space(dims)
-    if isinstance(e, ast.ObjPts):
-        if iid != "rbord1":
-            raise TypecheckError("pts{...} objects live in rbord1", e.span.line, e.span.col)
-        try:
-            return inst.points(e.labels)
-        except TracedError as exc:
-            raise _at(exc, e.span)
-    if isinstance(e, ast.ObjDual):
-        inner = resolve_objexpr(inst, objects, e.inner)
-        if not inst.has_dual(inner):
-            raise TypecheckError(f"instance {iid!r} has no duals", e.span.line, e.span.col)
-        return inst.dual_obj(inner)
-    if isinstance(e, ast.ObjTensor):
-        left = resolve_objexpr(inst, objects, e.left)
-        right = resolve_objexpr(inst, objects, e.right)
-        try:
-            return inst.tensor_obj(left, right)
-        except TracedError as exc:
-            raise _at(exc, e.span)
-    raise TypecheckError(f"unhandled object expression {e!r}", e.span.line, e.span.col)
-
-
 class Checker:
     def __init__(self, program: ast.Program):
         self.program = program
@@ -97,44 +54,53 @@ class Checker:
             raise TypecheckError(exc.args[0], program.span.line, program.span.col) from exc
         self.objects: dict[str, ObjectRef] = {}
         self.morphisms: dict = {}
-        self.triples: dict = {}
+        self.triples: dict = {}  # name -> ((dom, cod), closure reading the bound triple)
         self.term_types: dict = {}
 
     def run(self) -> TypedProgram:
+        steps = []
         for item in self.program.items:
-            if isinstance(item, ast.ObjDecl):
-                self._bind_fresh(item.name, item.span)
-                self.objects[item.name] = self.objexpr(item.expr)
-            elif isinstance(item, ast.MorDecl):
-                self._bind_fresh(item.name, item.span)
-                src = self.objexpr(item.src)
-                tgt = self.objexpr(item.tgt)
-                try:
-                    self.morphisms[item.name] = self.literal(item.literal, src, tgt)
-                except TracedError as exc:
-                    raise _at(exc, item.literal.span)
-            elif isinstance(item, ast.TripleDecl):
-                self._bind_fresh(item.name, item.span)
-                self.triples[item.name] = self.tripleexpr(item.expr)
-            elif isinstance(item, ast.PrintCmd):
-                self.term(item.term)
-            elif isinstance(item, ast.AssertCmd):
-                lt = self.term(item.left)
-                rt = self.term(item.right)
-                if lt != rt:
-                    raise TypecheckError(
-                        f"assert_equal compares a morphism {_fmt_obj(lt[0])} -> {_fmt_obj(lt[1])}"
-                        f" with one {_fmt_obj(rt[0])} -> {_fmt_obj(rt[1])}",
-                        item.span.line, item.span.col,
-                    )
+            step = self.item(item)
+            if step is not None:
+                steps.append((item, step))
         return TypedProgram(
             instance_id=self.program.instance_id,
             program=self.program,
-            objects=self.objects,
-            morphisms=self.morphisms,
-            triple_types=self.triples,
             term_types=self.term_types,
+            steps=steps,
         )
+
+    def item(self, item):
+        """Check one item; a triple, print or assert_equal item returns its step."""
+        if isinstance(item, ast.ObjDecl):
+            self._bind_fresh(item.name, item.span)
+            self.objects[item.name] = self.objexpr(item.expr)
+        elif isinstance(item, ast.MorDecl):
+            self._bind_fresh(item.name, item.span)
+            src = self.objexpr(item.src)
+            tgt = self.objexpr(item.tgt)
+            try:
+                self.morphisms[item.name] = self.literal(item.literal, src, tgt)
+            except TracedError as exc:
+                raise _at(exc, item.literal.span)
+        elif isinstance(item, ast.TripleDecl):
+            self._bind_fresh(item.name, item.span)
+            ty, triple = self.tripleexpr(item.expr)
+            bound = {}  # filled by the step, read by every use of the name
+            self.triples[item.name] = (ty, lambda: bound["triple"])
+            return lambda: bound.update(triple=triple())
+        elif isinstance(item, ast.PrintCmd):
+            return self.term(item.term)[1]
+        elif isinstance(item, ast.AssertCmd):
+            lt, left = self.term(item.left)
+            rt, right = self.term(item.right)
+            if lt != rt:
+                raise TypecheckError(
+                    f"assert_equal compares a morphism {_fmt_obj(lt[0])} -> {_fmt_obj(lt[1])}"
+                    f" with one {_fmt_obj(rt[0])} -> {_fmt_obj(rt[1])}",
+                    item.span.line, item.span.col,
+                )
+            return lambda: (left(), right())
 
     def _bind_fresh(self, name: str, span: ast.Span):
         if name in self.objects or name in self.morphisms or name in self.triples:
@@ -143,7 +109,52 @@ class Checker:
     # -- objects ---------------------------------------------------------------
 
     def objexpr(self, e: ast.ObjExpr) -> ObjectRef:
-        return resolve_objexpr(self.inst, self.objects, e)
+        """Resolve an object expression against the bound object names."""
+        inst = self.inst
+        iid = inst.instance_id
+        if isinstance(e, ast.ObjName):
+            if e.name not in self.objects:
+                raise TypecheckError(f"unknown object {e.name!r}", e.span.line, e.span.col)
+            return self.objects[e.name]
+        if isinstance(e, ast.ObjUnit):
+            return inst.unit_object()
+        if isinstance(e, ast.ObjInt):
+            if iid != "finvect":
+                raise TypecheckError("bare dimensions are finvect objects only", e.span.line, e.span.col)
+            return inst.space(e.dim)
+        if isinstance(e, ast.ObjSuper):
+            if iid != "supervect":
+                raise TypecheckError("super(...) objects live in supervect", e.span.line, e.span.col)
+            return inst.space(e.even, e.odd)
+        if isinstance(e, ast.ObjGraded):
+            if not iid.startswith("graded"):
+                raise TypecheckError("graded{...} objects live in graded(q=...)", e.span.line, e.span.col)
+            dims: dict[int, int] = {}
+            for (deg, dim) in e.entries:
+                if deg in dims:
+                    raise TypecheckError(f"degree {deg} listed twice", e.span.line, e.span.col)
+                dims[deg] = dim
+            return inst.space(dims)
+        if isinstance(e, ast.ObjPts):
+            if iid != "rbord1":
+                raise TypecheckError("pts{...} objects live in rbord1", e.span.line, e.span.col)
+            try:
+                return inst.points(e.labels)
+            except TracedError as exc:
+                raise _at(exc, e.span)
+        if isinstance(e, ast.ObjDual):
+            inner = self.objexpr(e.inner)
+            if not inst.has_dual(inner):
+                raise TypecheckError(f"instance {iid!r} has no duals", e.span.line, e.span.col)
+            return inst.dual_obj(inner)
+        if isinstance(e, ast.ObjTensor):
+            left = self.objexpr(e.left)
+            right = self.objexpr(e.right)
+            try:
+                return inst.tensor_obj(left, right)
+            except TracedError as exc:
+                raise _at(exc, e.span)
+        raise TypecheckError(f"unhandled object expression {e!r}", e.span.line, e.span.col)
 
     # -- literals -----------------------------------------------------------------
 
@@ -186,54 +197,56 @@ class Checker:
     # -- terms ---------------------------------------------------------------------
 
     def term(self, t: ast.Term):
+        """The type (src, tgt) of a term and the closure that computes it."""
         try:
-            ty = self._term_type(t)
+            ty, code = self._term(t)
         except TracedError as exc:
             raise _at(exc, t.span)
         self.term_types[id(t)] = ty
-        return ty
+        return ty, code
 
-    def _term_type(self, t: ast.Term):
+    def _term(self, t: ast.Term):
         inst = self.inst
         if isinstance(t, ast.Gen):
             if t.name not in self.morphisms:
                 raise TypecheckError(f"unknown morphism {t.name!r}", t.span.line, t.span.col)
             m = self.morphisms[t.name]
-            return (m.source, m.target)
+            return (m.source, m.target), lambda: m
         if isinstance(t, ast.Id):
             x = self.objexpr(t.obj)
-            return (x, x)
+            return (x, x), lambda: inst.identity(x)
         if isinstance(t, ast.Compose):
-            before = self.term(t.before)
-            after = self.term(t.after)
-            if before[1] != after[0]:
+            bt, before = self.term(t.before)
+            at, after = self.term(t.after)
+            if bt[1] != at[0]:
                 raise TypecheckError(
-                    f"cannot chain: left ends at {_fmt_obj(before[1])} but right"
-                    f" starts at {_fmt_obj(after[0])}",
+                    f"cannot chain: left ends at {_fmt_obj(bt[1])} but right"
+                    f" starts at {_fmt_obj(at[0])}",
                     t.span.line, t.span.col,
                 )
-            return (before[0], after[1])
+            return (bt[0], at[1]), lambda: inst.compose(after(), before())
         if isinstance(t, ast.Tensor):
-            lt = self.term(t.left)
-            rt = self.term(t.right)
-            return (inst.tensor_obj(lt[0], rt[0]), inst.tensor_obj(lt[1], rt[1]))
+            lt, left = self.term(t.left)
+            rt, right = self.term(t.right)
+            ty = (inst.tensor_obj(lt[0], rt[0]), inst.tensor_obj(lt[1], rt[1]))
+            return ty, lambda: inst.tensor(left(), right())
         if isinstance(t, ast.S):
             x, y = self.objexpr(t.x), self.objexpr(t.y)
-            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
+            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.switching(x, y)
         if isinstance(t, ast.C):
             if not inst.capabilities.braided:
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not braided", t.span.line, t.span.col
                 )
             x, y = self.objexpr(t.x), self.objexpr(t.y)
-            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x))
+            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.braiding_c(x, y)
         if isinstance(t, ast.Theta):
             if not inst.capabilities.balanced:
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not balanced", t.span.line, t.span.col
                 )
             x = self.objexpr(t.obj)
-            return (x, x)
+            return (x, x), lambda: inst.twist_theta(x)
         if isinstance(t, (ast.Ev, ast.Coev)):
             x = self.objexpr(t.obj)
             if not inst.has_dual(x):
@@ -243,11 +256,10 @@ class Checker:
             xd = inst.dual_obj(x)
             unit = inst.unit_object()
             if isinstance(t, ast.Ev):
-                return (inst.tensor_obj(xd, x), unit)
-            else:
-                return (unit, inst.tensor_obj(x, xd))
+                return (inst.tensor_obj(xd, x), unit), lambda: inst.dual_data(x)[1]
+            return (unit, inst.tensor_obj(x, xd)), lambda: inst.dual_data(x)[2]
         if isinstance(t, ast.TraceHat):
-            dom, cod = self.tripleexpr(t.triple)
+            (dom, cod), triple = self.tripleexpr(t.triple)
             if dom != cod:
                 raise TypecheckError(
                     f"trace_hat needs an endomorphism-shaped triple, got"
@@ -255,23 +267,34 @@ class Checker:
                     t.span.line, t.span.col,
                 )
             unit = inst.unit_object()
-            return (unit, unit)
+            return (unit, unit), lambda: tr_hat(triple())
         if isinstance(t, ast.Pairing):
-            ft = self.term(t.f)
-            gt = self.term(t.g)
+            ft, f = self.term(t.f)
+            gt, g = self.term(t.g)
             if not (gt[0] == ft[1] and gt[1] == ft[0]):
                 raise TypecheckError(
                     f"pairing needs opposite shapes, got {_fmt_obj(ft[0])} -> {_fmt_obj(ft[1])}"
                     f" against {_fmt_obj(gt[0])} -> {_fmt_obj(gt[1])}",
                     t.span.line, t.span.col,
                 )
+            half = parse_rat("1/2")  # where rbord1 cuts f to thicken it
+
+            def pairing():
+                f_value, g_value = f(), g()
+                if inst.instance_id == "rbord1":
+                    f_hat = inst.cut_thickener(f_value, half)
+                else:
+                    f_hat = canonical_thickener(f_value)
+                return trace_pairing(f_hat, g_value)
+
             unit = inst.unit_object()
-            return (unit, unit)
+            return (unit, unit), pairing
         if isinstance(t, ast.Paren):
             return self.term(t.inner)
         raise TypecheckError(f"unhandled term {t!r}", t.span.line, t.span.col)
 
     def tripleexpr(self, e: ast.TripleExpr):
+        """The (dom, cod) of a triple expression and the closure that computes it."""
         inst = self.inst
         if isinstance(e, ast.TripleName):
             if e.name not in self.triples:
@@ -280,21 +303,20 @@ class Checker:
         if isinstance(e, ast.Cut):
             if inst.instance_id != "rbord1":
                 raise TypecheckError("cut(...) lives in rbord1", e.span.line, e.span.col)
-            src, tgt = self.term(e.term)
+            ty, sigma = self.term(e.term)
             frac = parse_rat(e.fraction)
             if not (0 < frac < 1):
                 raise TypecheckError("cut fraction must lie in (0,1)", e.span.line, e.span.col)
-            return (src, tgt)
+            return ty, lambda: inst.cut_thickener(sigma(), frac)
         if isinstance(e, ast.Thicken):
-            src, tgt = self.term(e.term)
-            if not inst.has_dual(src):
+            ty, f = self.term(e.term)
+            if not inst.has_dual(ty[0]):
                 raise TypecheckError(
                     f"thicken needs duals; instance {inst.instance_id!r} has none",
                     e.span.line, e.span.col,
                 )
-            return (src, tgt)
+            return ty, lambda: canonical_thickener(f())
         raise TypecheckError("unhandled triple expression", e.span.line, e.span.col)
-
 
 def typecheck(program: ast.Program) -> TypedProgram:
     return Checker(program).run()

@@ -58,7 +58,6 @@ class FieldTheory:
 
     @staticmethod
     def _int_length(length):
-        length = rat(length)
         if length.denominator != 1 or length <= 0:
             raise NonIntegerLength(f"exact mode needs positive integer lengths, got {length}")
         return int(length.numerator)

@@ -150,19 +150,16 @@ class MatrixCategory(CategoryInstance):
     # braided / balanced ----------------------------------------------------
 
     def braiding_c(self, x: ObjectRef, y: ObjectRef) -> Morphism:
-        self._need("braided")
         self._own_obj(x)
         self._own_obj(y)
         return self._swap_matrix(x, y, self._braid_scalar)
 
     def braiding_c_inv(self, x: ObjectRef, y: ObjectRef) -> Morphism:
-        self._need("braided")
         self._own_obj(x)
         self._own_obj(y)
         return self._swap_matrix(y, x, lambda b, a: 1 / rat(self._braid_scalar(a, b)))
 
     def twist_theta(self, x: ObjectRef) -> Morphism:
-        self._need("balanced")
         self._own_obj(x)
         n = dim(x)
         ent = {(i, i): self._twist_scalar(x.payload[i]) for i in range(n)}
@@ -171,11 +168,9 @@ class MatrixCategory(CategoryInstance):
     # additive capability -----------------------------------------------------
 
     def zero_object(self) -> ObjectRef:
-        self._need("additive")
         return self.obj(())
 
     def direct_sum(self, x: ObjectRef, y: ObjectRef) -> DirectSum:
-        self._need("additive")
         self._own_obj(x)
         self._own_obj(y)
         nx, ny = dim(x), dim(y)
@@ -187,7 +182,6 @@ class MatrixCategory(CategoryInstance):
         return DirectSum(s, inj1, inj2, proj1, proj2)
 
     def add_mor(self, f: Morphism, g: Morphism) -> Morphism:
-        self._need("additive")
         self._own_mor(f)
         self._own_mor(g)
         if f.source != g.source or f.target != g.target:
@@ -195,12 +189,10 @@ class MatrixCategory(CategoryInstance):
         return Morphism(self.instance_id, f.source, f.target, f.payload + g.payload)
 
     def negate_mor(self, f: Morphism) -> Morphism:
-        self._need("additive")
         self._own_mor(f)
         return Morphism(self.instance_id, f.source, f.target, -f.payload)
 
     def zero_mor(self, x: ObjectRef, y: ObjectRef) -> Morphism:
-        self._need("additive")
         self._own_obj(x)
         self._own_obj(y)
         return Morphism(self.instance_id, x, y, RatMatrix.zero(dim(y), dim(x)))

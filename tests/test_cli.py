@@ -322,3 +322,32 @@ def test_replay_rejects_bad_files(tmp_path, capsys, content):
     if content is not None:
         path.write_text(content)
     assert_input_error(*run_cli(capsys, "check", "--replay", str(path)))
+
+
+def _chain(n):
+    return "instance finvect\nobj X = 2\nprint(" + " ; ".join(["id(X)"] * n) + ")\n"
+
+
+@pytest.mark.parametrize("name, content, argv", [
+    pytest.param("chain.diag", _chain(600), ("eval",), id="eval-chain"),
+    pytest.param("parens.diag", "instance finvect\nobj X = 2\nprint(" + "(" * 3000 + "id(X)"
+                 + ")" * 3000 + ")\n", ("eval",), id="eval-parens"),
+    pytest.param("replay.json", '{"suite": "bord.glue", "inputs": ' + "[" * 100000
+                 + "]" * 100000 + "}", ("check", "--replay"), id="replay"),
+    pytest.param("matrix.json", "[" * 100000 + "]" * 100000,
+                 ("demo", "partition", "--length", "3", "--matrix"), id="matrix"),
+])
+def test_input_nested_too_deeply_exits_2(tmp_path, capsys, name, content, argv):
+    """Nesting past the interpreter's recursion limit is rejected input: one
+    stderr line naming the file and exit 2, not a traceback and exit 1."""
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, out, err)
+    assert str(path) in err
+
+
+def test_long_flat_chain_still_evaluates(tmp_path, capsys):
+    path = tmp_path / "chain.diag"
+    path.write_text(_chain(450))
+    assert run_cli(capsys, "eval", str(path)) == (0, "[[1, 0], [0, 1]]\n", "")

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from traced import canonical_thickener, get_instance, rat_str, tr_hat, trace_pairing
-from traced.dsl import ast, parse, pretty, run_text, tokenize, typecheck
+from traced import canonical_thickener, get_instance, rat, rat_str, tr_hat, trace_pairing
+from traced.dsl import ast, evaluate, parse, pretty, render_value, run_text, tokenize, typecheck
 from traced.dsl.parser import FORMS
 from traced.errors import LexError, ParseError, TracedError, TypecheckError
 
@@ -181,6 +181,51 @@ def test_oracle_equivalence_spot_checks():
     from traced.dsl import render_value
 
     assert report.results[0].text == render_value(rb, api)
+
+
+def _rbord1_cut_triple():
+    rb = get_instance("rbord1")
+    return rb, tr_hat(rb.cut_thickener(rb.interval("x", "x", rat(5)), rat(1, 3)))
+
+
+def _finvect_thickened_triple():
+    fv = get_instance("finvect")
+    x = fv.space(2)
+    return fv, tr_hat(canonical_thickener(fv.mor(x, x, [[1, 2], [3, 4]])))
+
+
+TRIPLE_PROGRAMS = {
+    "rbord1-cut": ("instance rbord1\nobj X = pts{x}\nmor f : X -> X = bord{x->x : 5}\n"
+                   "triple T = cut(f, 1/3)\n", "cut(f, 1/3)", _rbord1_cut_triple),
+    "finvect-thicken": ("instance finvect\nobj X = 2\nmor f : X -> X = [[1, 2], [3, 4]]\n"
+                        "triple T = thicken(f)\n", "thicken(f)", _finvect_thickened_triple),
+}
+
+
+@pytest.mark.parametrize("key", TRIPLE_PROGRAMS)
+def test_triple_declaration_end_to_end(key):
+    """A `triple` binding evaluates like the API call, like the expression
+    written in place, round-trips through pretty, and evaluates repeatably."""
+    decls, expr, api = TRIPLE_PROGRAMS[key]
+    text = decls + f"print(trace_hat(T))\nassert_equal(trace_hat(T), trace_hat({expr}))\n"
+    assert pretty(parse(text)) == text
+    tp = typecheck(parse(text))
+    report = evaluate(tp)
+    inst, expect = api()
+    assert report.results[0].text == render_value(inst, expect)
+    assert report.ok
+    assert evaluate(tp) == report
+
+
+@pytest.mark.parametrize("key", TRIPLE_PROGRAMS)
+def test_triple_names_unknown_or_rebound_are_positioned(key):
+    decls, expr, _api = TRIPLE_PROGRAMS[key]
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(decls + "print(trace_hat(U))\n"))
+    assert str(err.value) == "5:17: unknown triple 'U'"
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(decls + f"triple T = {expr}\n"))
+    assert str(err.value) == "5:1: name 'T' is already bound"
 
 
 def test_corpus_instances_covered():
