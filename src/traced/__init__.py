@@ -4,7 +4,6 @@ spaces, super vector spaces, q-graded spaces, and 1-d Riemannian bordisms.
 """
 
 from .core import (
-    Capabilities,
     CategoryInstance,
     DirectSum,
     Morphism,
@@ -50,7 +49,6 @@ from ._rat import parse_rat, rat, rat_str
 __version__ = "0.1.0"
 
 __all__ = [
-    "Capabilities",
     "CategoryInstance",
     "DirectSum",
     "Morphism",

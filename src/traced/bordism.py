@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Capabilities, CategoryInstance, Morphism, ObjectRef
+from .core import CategoryInstance, Morphism, ObjectRef
 from .errors import DomainMismatch, NotBordism, NotEndo
 from ._rat import rat
 
@@ -105,7 +105,6 @@ class Iso:
 
 class RBord1(CategoryInstance):
     instance_id = "rbord1"
-    capabilities = Capabilities()
 
     # objects ---------------------------------------------------------------
 
@@ -140,8 +139,6 @@ class RBord1(CategoryInstance):
                 and all(a[0] == IN and b[0] == OUT for (a, b, _l) in payload.arcs)
             ):
                 payload = Iso.make((a[1], b[1]) for (a, b, _l) in payload.arcs)
-                if not src.payload and not tgt.payload:  # pragma: no cover
-                    payload = Bord.make(())
         return Morphism(self.instance_id, src, tgt, payload)
 
     def iso_mor(self, src: ObjectRef, tgt: ObjectRef, mapping: dict) -> Morphism:
@@ -273,8 +270,6 @@ class RBord1(CategoryInstance):
                 widths[b[1]] = fraction * l / 2
             elif b[0] == OUT:
                 widths[b[1]] = fraction * l
-            elif a[0] == OUT:  # pragma: no cover - canonical order puts "in" first
-                widths[a[1]] = fraction * l
         return widths
 
     def cut_thickener(self, sigma: Morphism, cut_fraction):

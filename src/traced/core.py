@@ -8,12 +8,16 @@ anywhere in the interface.
 
 Objects and morphisms are immutable values tagged with the id of their
 owning instance; all equality checks are exact on canonical forms.
+
+Sums, braiding, twist and duals are optional, and the class is the only
+record of them: an instance has one exactly when its class overrides the
+stub below, which raises CapabilityMissing; `provides` asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import CapabilityMissing, DomainMismatch, InstanceMismatch
 
@@ -35,27 +39,6 @@ class Morphism:
         return f"Morphism[{self.instance_id}]({self.source.payload} -> {self.target.payload})"
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    """Static capability flags declared by an instance.
-
-    symmetric implies balanced (with identity twist) and balanced implies
-    braided; the constructor enforces the implications.
-    """
-
-    additive: bool = False
-    braided: bool = False
-    balanced: bool = False
-    symmetric: bool = False
-    has_duals: Callable[[ObjectRef], bool] = lambda _x: False
-
-    def __post_init__(self):
-        if self.symmetric and not self.balanced:
-            raise ValueError("symmetric instances must declare balanced")
-        if self.balanced and not self.braided:
-            raise ValueError("balanced instances must declare braided")
-
-
 class DirectSum(NamedTuple):
     """A biproduct X (+) Y with its canonical injections and projections."""
 
@@ -67,10 +50,14 @@ class DirectSum(NamedTuple):
 
 
 class CategoryInstance:
-    """Base class; concrete instances override the abstract operations."""
+    """Base class; concrete instances override the abstract operations.
+
+    The monoidal structure and the switching are required.  The additive,
+    braided/balanced and dual operations are optional: an instance that
+    lacks one inherits its stub, which raises CapabilityMissing.
+    """
 
     instance_id: str
-    capabilities: Capabilities
 
     # -- plumbing ---------------------------------------------------------
 
@@ -82,9 +69,10 @@ class CategoryInstance:
         if f.instance_id != self.instance_id:
             raise InstanceMismatch(f"morphism of {f.instance_id!r} used in {self.instance_id!r}")
 
-    def _need(self, flag: str):
-        if not getattr(self.capabilities, flag):
-            raise CapabilityMissing(f"instance {self.instance_id!r} is not {flag}")
+    def provides(self, op: str) -> bool:
+        """Whether this instance has the optional operation `op`, i.e. its
+        class overrides the base stub."""
+        return getattr(type(self), op) is not getattr(CategoryInstance, op)
 
     # -- monoidal structure ------------------------------------------------
 
@@ -116,45 +104,37 @@ class CategoryInstance:
     # -- additive capability ------------------------------------------------
 
     def zero_object(self) -> ObjectRef:
-        self._need("additive")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not additive")
 
     def direct_sum(self, x: ObjectRef, y: ObjectRef) -> DirectSum:
-        self._need("additive")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not additive")
 
     def add_mor(self, f: Morphism, g: Morphism) -> Morphism:
-        self._need("additive")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not additive")
 
     def negate_mor(self, f: Morphism) -> Morphism:
-        self._need("additive")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not additive")
 
     def zero_mor(self, x: ObjectRef, y: ObjectRef) -> Morphism:
-        self._need("additive")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not additive")
 
     # -- braided / balanced capability --------------------------------------
 
     def braiding_c(self, x: ObjectRef, y: ObjectRef) -> Morphism:
         """Braiding X (x) Y -> Y (x) X (the over-crossing)."""
-        self._need("braided")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not braided")
 
     def braiding_c_inv(self, x: ObjectRef, y: ObjectRef) -> Morphism:
         """Inverse braiding Y (x) X -> X (x) Y, so c_inv(x,y) . c(x,y) = id."""
-        self._need("braided")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not braided")
 
     def twist_theta(self, x: ObjectRef) -> Morphism:
-        self._need("balanced")
-        raise NotImplementedError
+        raise CapabilityMissing(f"instance {self.instance_id!r} is not balanced")
 
     # -- duals ---------------------------------------------------------------
 
     def has_dual(self, x: ObjectRef) -> bool:
-        return self.capabilities.has_duals(x)
+        return self.provides("dual_data")
 
     def dual_data(self, x: ObjectRef):
         """Return (dual, ev, coev) satisfying the zigzag identities."""

@@ -1,9 +1,9 @@
 """Dom/cod type checking for parsed programs, which also compiles them.
 
 Resolves objects, validates morphism literals against their declared types
-(shape, degree preservation, boundary matching), enforces the capability
-table of the target instance, and annotates every term with its inferred
-source and target.  All diagnostics carry the source span.
+(shape, degree preservation, boundary matching), rejects the operations
+the target instance does not provide, and annotates every term with its
+inferred source and target.  All diagnostics carry the source span.
 
 The same walk compiles each item: a term or triple expression yields its
 type together with a closure, over the objects already resolved, that
@@ -234,14 +234,14 @@ class Checker:
             x, y = self.objexpr(t.x), self.objexpr(t.y)
             return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.switching(x, y)
         if isinstance(t, ast.C):
-            if not inst.capabilities.braided:
+            if not inst.provides("braiding_c"):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not braided", t.span.line, t.span.col
                 )
             x, y = self.objexpr(t.x), self.objexpr(t.y)
             return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.braiding_c(x, y)
         if isinstance(t, ast.Theta):
-            if not inst.capabilities.balanced:
+            if not inst.provides("twist_theta"):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not balanced", t.span.line, t.span.col
                 )

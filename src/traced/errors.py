@@ -16,7 +16,7 @@ class DomainMismatch(TracedError):
 
 
 class CapabilityMissing(TracedError):
-    """The instance does not declare the capability this operation needs."""
+    """The instance does not provide the structure this operation needs."""
 
 
 class NotEndo(TracedError):

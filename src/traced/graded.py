@@ -13,23 +13,18 @@ scales degree (1,1) by q^2), while the twist still makes the switching
 behave like the plain swap on every degree-0 vector of X (x) Z, because
 q^{m(-m) + m^2} = 1.  Morphisms are degree-preserving; duals negate degrees.
 
-The instance also declares the additive capability (degreewise direct sums),
+The instance is also additive (degreewise direct sums, from MatrixCategory),
 so the full additivity and multiplicativity suites can run in one category.
 """
 
 from __future__ import annotations
 
-from .core import Capabilities, Morphism, ObjectRef
+from .core import Morphism, ObjectRef
 from .vect import MatrixCategory
 from ._rat import rat, rat_str
 
 
 class GradedVect(MatrixCategory):
-    capabilities = Capabilities(
-        additive=True, braided=True, balanced=True, symmetric=False,
-        has_duals=lambda _x: True,
-    )
-
     def __init__(self, q=2):
         q = rat(q)
         if q * q == 1 or not q:

@@ -437,14 +437,9 @@ def vect_injective(key):
     def check(inputs):
         t = inputs["t"]
         x = inputs["x"].source
-        inst = get_instance(t.instance_id)
         image = phi(t, x)
         if t.payload.is_zero() != image.payload.is_zero():
             return False, "phi(t) = 0 does not match t = 0"
-        if not t.payload.is_zero():
-            zero = inst.zero_mor(t.source, t.target)
-            if inst.mor_equal(t, zero):  # pragma: no cover - is_zero covers this
-                return False, "inconsistent zero test"
         return True, ""
 
     return gen, check
@@ -731,7 +726,8 @@ def _gen_oracle_object(inst, rng: Stream, cfg: SuiteConfig, *near):
 
 @family("kernel.oracle", "kernel.oracle",
         "contraction kernels of psi, pre_compose and post_compose"
-        " equal the whiskered reference composites", MATRIX)
+        " equal the whiskered reference composites, and the switching"
+        " s_{X,Z} equals (id_Z (x) theta_X) . c_{X,Z}", MATRIX)
 def kernel_oracle(key):
     def gen(cfg, rng):
         inst = _inst(key, cfg)
@@ -757,6 +753,11 @@ def kernel_oracle(key):
             return False, "pre_compose kernel differs from the whiskered composite"
         if not inst.mor_equal(post_compose(g, tr).t, post_compose_composite(g, tr).t):
             return False, "post_compose kernel differs from the whiskered composite"
+        x, z = tr.dom, tr.z
+        balanced = inst.compose(inst.tensor(inst.identity(z), inst.twist_theta(x)),
+                                inst.braiding_c(x, z))
+        if not inst.mor_equal(inst.switching(x, z), balanced):
+            return False, "switching differs from (id (x) theta) . c"
         return True, ""
 
     return gen, check

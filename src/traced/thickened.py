@@ -206,10 +206,9 @@ def add_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
     """Sum over the biproduct: Z = Z1 (+) Z2 with t the column (t1; t2) and
     b the row (b1, b2); psi and tr_hat are additive in the summands."""
     inst = instance_of(tr1.dom)
-    inst._need("additive")
+    ds = inst.direct_sum(tr1.z, tr2.z)  # first, so a non-additive instance says so
     if (tr1.dom, tr1.cod) != (tr2.dom, tr2.cod):
         raise DomainMismatch("summands must share dom and cod")
-    ds = inst.direct_sum(tr1.z, tr2.z)
     idc = inst.identity(tr1.cod)
     idd = inst.identity(tr1.dom)
     t = inst.add_mor(
@@ -225,13 +224,11 @@ def add_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
 
 def negate_triple(tr: ThickTriple) -> ThickTriple:
     inst = instance_of(tr.dom)
-    inst._need("additive")
     return ThickTriple(dom=tr.dom, cod=tr.cod, z=tr.z, t=inst.negate_mor(tr.t), b=tr.b)
 
 
 def zero_triple(inst, dom: ObjectRef, cod: ObjectRef) -> ThickTriple:
     """The additive unit: the zero object with both structure maps zero."""
-    inst._need("additive")
     z = inst.zero_object()
     t = inst.zero_mor(inst.unit_object(), inst.tensor_obj(cod, z))
     b = inst.zero_mor(inst.tensor_obj(z, dom), inst.unit_object())
@@ -243,7 +240,6 @@ def pad_thickener(tr: ThickTriple, w: ObjectRef, junk: Morphism) -> ThickTriple:
     summand and extending b by an arbitrary junk map W (x) X -> I.  Both psi
     and tr_hat ignore the padding (the W component of t is zero)."""
     inst = instance_of(tr.dom)
-    inst._need("additive")
     ds = inst.direct_sum(tr.z, w)
     t = inst.compose(inst.tensor(inst.identity(tr.cod), ds.inj1), tr.t)
     idd = inst.identity(tr.dom)
@@ -267,9 +263,10 @@ def tensor_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
     fails at mixed degrees.
     """
     inst = instance_of(tr1.dom)
-    inst._need("braided")
-    z = inst.tensor_obj(tr1.z, tr2.z)
+    # the braiding comes before tensor_obj, so that a non-braided instance
+    # says so rather than reporting a label collision in Z1 (x) Z2
     chi_t = inst.braiding_c(tr1.z, tr2.cod)
+    z = inst.tensor_obj(tr1.z, tr2.z)
     t = inst.compose(
         inst.tensor(inst.tensor(inst.identity(tr1.cod), chi_t), inst.identity(tr2.z)),
         inst.tensor(tr1.t, tr2.t),
@@ -289,7 +286,8 @@ def tensor_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
 
 
 def canonical_thickener(f: Morphism) -> ThickTriple:
-    """For a morphism out of a dualizable object: (X*, (f (x) id).coev, ev)."""
-    from .vect import alpha, phi_inv
-
-    return alpha(phi_inv(f), f.source)
+    """For f: X -> Y out of a dualizable object: (X*, (f (x) id_X*) . coev, ev)."""
+    inst = instance_of(f)
+    xd, ev, coev = inst.dual_data(f.source)
+    t = inst.compose(inst.tensor(f, inst.identity(xd)), coev)
+    return ThickTriple(dom=f.source, cod=f.target, z=xd, t=t, b=ev)

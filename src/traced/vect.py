@@ -27,7 +27,7 @@ switching s_{X,Y} scales the pair (m, n) by _switch_scalar(m, n), which is
 
 from __future__ import annotations
 
-from .core import Capabilities, CategoryInstance, DirectSum, Morphism, ObjectRef
+from .core import CategoryInstance, DirectSum, Morphism, ObjectRef
 from .errors import DomainMismatch, NotEndo
 from .matrices import RatMatrix, over_common_denominator
 from ._rat import rat
@@ -304,10 +304,6 @@ class FinVect(MatrixCategory):
     """Finite-dimensional rational vector spaces with the plain swap."""
 
     instance_id = "finvect"
-    capabilities = Capabilities(
-        additive=True, braided=True, balanced=True, symmetric=True,
-        has_duals=lambda _x: True,
-    )
 
     def _reduce_degrees(self, ds):
         return (0,) * len(ds)
@@ -326,10 +322,6 @@ class SuperVect(MatrixCategory):
     """
 
     instance_id = "supervect"
-    capabilities = Capabilities(
-        additive=True, braided=True, balanced=True, symmetric=True,
-        has_duals=lambda _x: True,
-    )
 
     def _reduce_degrees(self, ds):
         return tuple([d % 2 for d in ds])

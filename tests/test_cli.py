@@ -158,6 +158,13 @@ def test_eval_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_thickens_a_morphism_of_the_zero_object(tmp_path, capsys):
+    path = tmp_path / "zero.diag"
+    path.write_text("instance finvect\nobj X = 0\nmor f : X -> X = []\n"
+                    "print(trace_hat(thicken(f)))\nprint(pairing(f, f))\n")
+    assert run_cli(capsys, "eval", str(path)) == (0, "0\n0\n", "")
+
+
 @pytest.mark.parametrize("program, line", [
     ("instance graded(q=1/0)\n", "1:19: zero denominator in 1/0"),
     ("instance finvect\nobj X = 1\nmor f : X -> X = [[1/0]]\n",

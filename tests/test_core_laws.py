@@ -65,26 +65,25 @@ def test_tensor_obj_associative_and_unital(iid):
         assert inst.tensor_obj(a, unit) == a
 
 
+OPTIONAL_OPS = ("zero_object", "direct_sum", "add_mor", "negate_mor", "zero_mor",
+                "braiding_c", "braiding_c_inv", "twist_theta", "dual_data")
+
+
 def test_capability_table():
-    fv = get_instance("finvect")
-    sv = get_instance("supervect")
-    gq = get_instance("graded(q=2)")
+    """The matrix instances provide every optional operation; rbord1 none."""
+    for iid in ("finvect", "supervect", "graded(q=2)"):
+        inst = get_instance(iid)
+        assert all(inst.provides(op) for op in OPTIONAL_OPS)
+        assert inst.has_dual(inst.unit_object())
     rb = get_instance("rbord1")
-    for inst in (fv, sv):
-        caps = inst.capabilities
-        assert caps.additive and caps.braided and caps.balanced and caps.symmetric
-    assert gq.capabilities.balanced and not gq.capabilities.symmetric
-    caps = rb.capabilities
-    assert not (caps.additive or caps.braided or caps.balanced or caps.symmetric)
+    assert not any(rb.provides(op) for op in OPTIONAL_OPS)
     assert not rb.has_dual(rb.points(["x"]))
-    assert fv.has_dual(fv.space(3))
 
 
 def test_capability_invariants_enforced():
-    from traced.core import Capabilities
-
-    with pytest.raises(ValueError):
-        Capabilities(symmetric=True)
-    with pytest.raises(ValueError):
-        Capabilities(balanced=True)
-    Capabilities(symmetric=True, balanced=True, braided=True)
+    """A twist comes with a braiding: on every instance, providing
+    twist_theta implies providing braiding_c and braiding_c_inv."""
+    for iid in INSTANCES:
+        inst = get_instance(iid)
+        if inst.provides("twist_theta"):
+            assert inst.provides("braiding_c") and inst.provides("braiding_c_inv")

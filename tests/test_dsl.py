@@ -97,6 +97,23 @@ def test_capability_errors():
     typecheck(parse("instance finvect\nobj X = 2\nprint(theta(X))\n"))
 
 
+@pytest.mark.parametrize("body, position, message", [
+    ("print(theta(X))\n", (3, 7), "instance 'rbord1' is not balanced"),
+    ("obj Y = dual(X)\n", (3, 9), "instance 'rbord1' has no duals"),
+    ("print(coev(X))\n", (3, 7), "instance 'rbord1' has no duals"),
+    ("mor f : X -> X = bord{x->x : 1}\nprint(trace_hat(thicken(f)))\n", (4, 17),
+     "thicken needs duals; instance 'rbord1' has none"),
+    ("print(c(X, X))\n", (3, 7), "instance 'rbord1' is not braided"),
+], ids=["theta", "dual", "coev", "thicken", "c"])
+def test_rbord1_capability_errors(body, position, message):
+    """rbord1 has no twist, duals or braiding; each use is a type error at
+    the position of the form that needs it."""
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse("instance rbord1\nobj X = pts{x}\n" + body))
+    assert (err.value.line, err.value.col) == position
+    assert err.value.message == message
+
+
 def test_trace_hat_requires_endo_shape():
     with pytest.raises(TypecheckError, match="endomorphism"):
         typecheck(parse("instance rbord1\nobj X = pts{x}\nobj Y = pts{y}\n"

@@ -206,6 +206,17 @@ def test_add_triples_requires_capability():
         add_triples(tri, tri)
     with pytest.raises(CapabilityMissing):
         tensor_triples(tri, tri)
+    not_additive = "instance 'rbord1' is not additive"
+    with pytest.raises(CapabilityMissing, match=not_additive):
+        negate_triple(tri)
+    with pytest.raises(CapabilityMissing, match=not_additive):
+        zero_triple(rb, x, x)
+    with pytest.raises(CapabilityMissing, match=not_additive):
+        pad_thickener(tri, x, tri.b)
+    # the missing structure is reported before a dom/cod mismatch
+    other = rb.cut_thickener(rb.interval("p", "q", 2), rat(1, 2))
+    with pytest.raises(CapabilityMissing, match=not_additive):
+        add_triples(tri, other)
 
 
 def test_pad_thickener_invisible():
@@ -278,6 +289,21 @@ def test_canonical_thickener_round_trip():
             y = gen_object(inst, rng, 4, 2)
             f = gen_matrix_mor(inst, x, y, rng)
             assert inst.mor_equal(psi(canonical_thickener(f)), f)
+
+
+@pytest.mark.parametrize("inst", MATRIX, ids=lambda i: i.instance_id)
+def test_canonical_thickener_at_the_zero_object(inst):
+    """f: 0 -> 0, 0 -> Y and Y -> 0 thicken; psi recovers f and the trace
+    of the endomorphism is the classical trace, 0."""
+    zero = inst.zero_object()
+    y = gen_object(inst, trial_stream(12, "canon-zero", 0), 3, 2)
+    for (src, tgt) in ((zero, zero), (zero, y), (y, zero)):
+        f = inst.zero_mor(src, tgt)
+        tri = canonical_thickener(f)
+        assert (tri.dom, tri.cod) == (src, tgt)
+        assert inst.mor_equal(psi(tri), f)
+        if src == tgt:
+            assert inst.scalar_value(tr_hat(tri)) == inst.classical_trace(f) == 0
 
 
 # -- contraction kernels against the whiskered reference ----------------------
