@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -323,12 +325,73 @@ def test_check_rejects_non_integer_traced_seed(capsys, monkeypatch):
     ' "z": {}, "t": {}, "b": {}}}}',
     '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "int", "value": 1}}}',
     '{"neither": 1}',
+    *(pytest.param(json.dumps({"suite": sid, "inputs": {}}), id=f"no-inputs-{sid}")
+      for sid in REGISTRY),
 ])
 def test_replay_rejects_bad_files(tmp_path, capsys, content):
     path = tmp_path / "replay.json"
     if content is not None:
         path.write_text(content)
     assert_input_error(*run_cli(capsys, "check", "--replay", str(path)))
+
+
+DATA = CORPUS.parent
+PINNED = {"crossing_counterexample.json": "graded.crossing-regression",
+          "twistless_counterexample.json": "balanced.twistless-control"}
+# What a mutation puts in place of a value: other kinds, small numbers,
+# bad rationals and other instance ids.  Numbers stay small, so that no
+# mutant asks for an unbounded allocation.
+_REPLACEMENTS = (None, True, 0, 1, -1, 2, 1.5, "", "x", "1/0", "-1", "2/3", [], {}, [0], [1, 2],
+                 [[0, 0]], "finvect", "supervect", "rbord1", "graded(q=3/2)", "graded(q=1)",
+                 "matrix-mor", "iso-mor", "bord-mor", "rat", "str")
+
+
+def replay_mutants(seed: int, count: int):
+    """`count` replay entries, each a pinned counterexample file with one to
+    three seeded mutations of its inputs: a value replaced or deleted, or
+    the value of another key copied in."""
+    rng = random.Random(seed)
+    files = sorted(PINNED)
+    docs = {name: json.loads((DATA / name).read_text())["inputs"] for name in files}
+    for _ in range(count):
+        name = rng.choice(files)
+        inputs = copy.deepcopy(docs[name])
+        for _ in range(rng.randint(1, 3)):
+            node, paths = inputs, []
+            while isinstance(node, (dict, list)) and node:
+                key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+                paths.append((node, key))
+                if rng.random() < 0.3:
+                    break
+                node = node[key]
+            if not paths:
+                continue
+            parent, key = rng.choice(paths)
+            roll = rng.random()
+            if roll < 0.2 and isinstance(parent, dict):
+                del parent[key]
+            elif roll < 0.35:
+                parent[key] = copy.deepcopy(rng.choice(list(inputs.values())))
+            else:
+                parent[key] = copy.deepcopy(rng.choice(_REPLACEMENTS))
+        yield {"suite": PINNED[name], "inputs": inputs}
+
+
+def test_replay_mutants_of_pinned_files_exit_cleanly(tmp_path, capsys):
+    """A seeded fuzz of the two pinned counterexamples through --replay: no
+    exception escapes, exit 2 prints exactly one stderr line, and the other
+    exits print nothing there."""
+    path = tmp_path / "mutant.json"
+    codes = set()
+    for entry in replay_mutants(seed=13, count=400):
+        path.write_text(json.dumps(entry))
+        code, _out, err = run_cli(capsys, "check", "--replay", str(path))
+        codes.add(code)
+        if code == 2:
+            assert err.count("\n") == 1 and err.strip() and "Traceback" not in err, entry
+        else:
+            assert code in (0, 1) and err == "", entry
+    assert codes == {0, 1, 2}
 
 
 def _chain(n):

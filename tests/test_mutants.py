@@ -1,0 +1,131 @@
+"""Mutation guard: each plausible semantic bug below must turn a named
+property suite red through a failed claim, not through an exception.
+
+A mutant is a function `mutant(patch)` that applies its monkeypatches
+through `patch(owner, name, value)`; nothing rewrites source.  A passing
+suite reports only its counts, so the report pins cannot see a dropped
+claim; these kills can.  Each test runs one suite at 40 trials, seed 42.
+"""
+
+import importlib
+
+import pytest
+
+from traced import bordism, suites, thickened
+from traced.core import Morphism, instance_of
+from traced.graded import GradedVect
+from traced.matrices import RatMatrix
+from traced.suites import REGISTRY, SuiteConfig, run_one
+from traced.vect import MatrixCategory, SuperVect
+
+
+def koszul_sign_dropped(patch):
+    """SuperVect braids and switches odd lines without the sign."""
+    patch(SuperVect, "_braid_scalar", lambda self, a, b: 1)
+
+
+def switch_q_mn_plus_m(patch):
+    """The graded switching scalar q^{mn + m^2} becomes q^{mn + m}."""
+    patch(GradedVect, "_switch_scalar", lambda self, a, b: self.q ** (a * b + a))
+
+
+def braid_q_minus_mn(patch):
+    """The graded braiding scalar q^{mn} becomes q^{-mn}."""
+    patch(GradedVect, "_braid_scalar", lambda self, a, b: self.q ** (-a * b))
+
+
+def tr_hat_braids(patch):
+    """tr_hat closes the loop with the braiding c_{X,Z}, not s_{X,Z}."""
+    def tr_hat(tr):
+        inst = instance_of(tr.dom)
+        return inst.compose(tr.b, inst.compose(inst.braiding_c(tr.dom, tr.z), tr.t))
+
+    for module in (thickened, suites, importlib.import_module("traced.dsl.typecheck")):
+        patch(module, "tr_hat", tr_hat)
+
+
+def inverse_braiding_over(patch):
+    """c^{-1}_{X,Y} becomes the over-crossing c_{Y,X}, same source and target."""
+    patch(MatrixCategory, "braiding_c_inv",
+          lambda self, x, y: MatrixCategory.braiding_c(self, y, x))
+
+
+def coev_scaled(patch):
+    """coev: I -> X (x) X* doubles its first basis term."""
+    dual_data = MatrixCategory.dual_data
+
+    def scaled(self, x):
+        xd, ev, coev = dual_data(self, x)
+        n = len(x.payload)
+        mat = RatMatrix(n * n, 1, {(i * n + i, 0): 2 if i == 0 else 1 for i in range(n)})
+        return xd, ev, Morphism(self.instance_id, coev.source, coev.target, mat)
+
+    patch(MatrixCategory, "dual_data", scaled)
+
+
+def psi_kernel_doubled(patch):
+    """The psi contraction kernel doubles every output of more than 4 entries."""
+    psi_kernel = MatrixCategory.psi_kernel
+
+    def doubled(self, tr):
+        out = psi_kernel(self, tr)
+        return out if out.payload.rows * out.payload.cols <= 4 else self.add_mor(out, out)
+
+    patch(MatrixCategory, "psi_kernel", doubled)
+
+
+def chain_length_longest_piece(patch):
+    """rbord1 gives a glued chain the length of its longest piece, not the sum."""
+    def chains(arcs, glue, ends=()):
+        arc_at, visited = {}, set()
+        for (a, b, l) in arcs:
+            arc_at[a] = (b, l)
+            arc_at[b] = (a, l)
+
+        def walk(start):
+            total, cur = bordism._ZERO, start
+            while True:
+                visited.add(cur)
+                nxt, l = arc_at[cur]
+                visited.add(nxt)
+                total = max(total, l)
+                cur = glue.get(nxt)
+                if cur is None or cur == start:
+                    return nxt, total
+
+        opened = [(start, *walk(start)) for start in ends if start not in visited]
+        return opened, [walk(node)[1] for node in arc_at if node not in visited]
+
+    patch(bordism, "_chains", chains)
+
+
+def closed_chains_dropped(patch):
+    """rbord1 forgets the circles that gluing closes up."""
+    chains = bordism._chains
+    patch(bordism, "_chains", lambda arcs, glue, ends=(): (chains(arcs, glue, ends)[0], []))
+
+
+# mutant -> (property suite it turns red, detail of its first failed claim)
+KILLS = {
+    koszul_sign_dropped: ("dual.trace.supervect", "categorical 5/2 != super trace -5/2"),
+    switch_q_mn_plus_m: ("kernel.oracle.graded", "switching differs from (id (x) theta) . c"),
+    braid_q_minus_mn: ("balanced.twist", "twist equation fails"),
+    tr_hat_braids: ("whtr.3.graded", "tr_hat is not multiplicative"),
+    inverse_braiding_over: ("whtr.3.graded", "psi is not multiplicative"),
+    coev_scaled: ("dual.bijection.finvect", "zigzag identities fail"),
+    psi_kernel_doubled: ("kernel.oracle.finvect", "psi kernel differs from the whiskered composite"),
+    chain_length_longest_piece: ("bord.glue", "glue_trace != tr_hat . cut_thickener"),
+    closed_chains_dropped: ("sec2.partition", "partition value 1 != pairing -8192"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(KILLS), ids=lambda m: m.__name__)
+def test_mutant_turns_a_property_suite_red(monkeypatch, mutant):
+    """The suite's first failure at 40 trials, seed 42, is the named claim;
+    an exception would fail the test instead."""
+    sid, detail = KILLS[mutant]
+    suite = REGISTRY[sid]
+    assert not suite.expect_counterexample
+    mutant(monkeypatch.setattr)
+    res = run_one(suite, SuiteConfig(suites=(sid,), trials=40, seed=42))
+    assert res.failures > 0 and res.counterexample["detail"] == detail
