@@ -14,9 +14,8 @@ import time
 
 import pytest
 
-from traced.core import get_instance
 from traced.gens import trial_stream
-from traced.suites import REGISTRY, SuiteConfig, _triple_from_inputs, run_suite
+from traced.suites import REGISTRY, Inputs, SuiteConfig, run_suite
 from traced.thickened import tensor_triples, tr_hat
 
 SEED = 42
@@ -96,13 +95,13 @@ def test_criterion_04_negative_control(full_run):
     cancels = True
     nonzero = 0
     for trial in range(TRIALS):
-        inputs = REGISTRY[suite_id].gen(report.config,
-                                        trial_stream(SEED, suite_id, trial))
-        inst = get_instance(inputs["at"].instance_id)
+        inputs = Inputs(REGISTRY[suite_id].gen(report.config,
+                                               trial_stream(SEED, suite_id, trial)))
+        inst = inputs.inst
         zero = inst.zero_mor(inst.unit_object(), inst.unit_object())
-        x1, x2 = inputs["x1"].source, inputs["x2"].source
-        tr1 = _triple_from_inputs(inputs, "a", x1, x1)
-        tr2 = _triple_from_inputs(inputs, "b", x2, x2)
+        x1, x2 = inputs.obj("x1", "x2")
+        tr1 = inputs.triple("a{}", x1, x1)
+        tr2 = inputs.triple("b{}", x2, x2)
         for tr in (tr1, tr2, tensor_triples(tr1, tr2)):
             value = tr_hat(tr)
             swapped = inst.compose(tr.b, inst.compose(inst.plain_swap(tr.dom, tr.z), tr.t))
