@@ -14,7 +14,7 @@ a non-integer TRACED_SEED, a missing or malformed replay file, a rejected
 .diag program, a missing or malformed `--matrix` file, a `--length` below
 1, or a replay file, .diag program or `--matrix` file nested too deeply to
 read), reported in one line on stderr.  TRACED_SEED overrides the
-default seed.
+default seed.  The report echoes `--q` in lowest terms ("6/4" as "3/2").
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def cmd_check(args) -> int:
         return 0 if all(reproduced for _sid, reproduced, _detail in results) else 1
 
     try:
-        GradedVect(parse_rat(args.q))
+        q = parse_rat(args.q)
+        GradedVect(q)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid --q {args.q!r}: {exc}", file=sys.stderr)
         return 2
@@ -104,7 +105,7 @@ def cmd_check(args) -> int:
         suites=tuple(args.suite or ("all",)),
         seed=seed,
         trials=args.trials,
-        q=args.q,
+        q=rat_str(q),  # "6/4", " 3/2" and "+3/2" all report as "3/2"
     )
     try:
         select_suites(cfg)

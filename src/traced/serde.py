@@ -1,8 +1,11 @@
 """JSON (de)serialization of suite inputs, for the counterexamples in suite
 reports (`--replay`) and the pinned regression inputs shipped with the
-package.  Suites draw only morphisms, rationals and corpus file names, so a
-value has one of five kinds: `matrix-mor`, `iso-mor`, `bord-mor`, `rat` (a
-"p/q" string) and `str`.  Any other value or kind raises TypeError.
+package.  Suites also draw objects and triples, but the suite codec
+(`suites.encode`) stores those as morphisms: an object as its identity, a
+triple as its t, its b and the identity of its Z.  So a stored value is a
+morphism, a rational or a corpus string, of one of five kinds:
+`matrix-mor`, `iso-mor`, `bord-mor`, `rat` (a "p/q" string) and `str`.
+Any other value or kind raises TypeError.
 """
 
 from __future__ import annotations

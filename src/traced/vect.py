@@ -17,7 +17,7 @@ Duals reuse the same index set with negated degrees, so ev and coev are the
 plain index pairings 1 |-> sum_i e_i (x) e^i and e^i (x) e_j |-> delta_ij.
 
 Degree arithmetic works on whole objects: tensor_obj, dual_obj and the
-recovery of Y in phi build the integer degree tuple in one pass and hand it
+recovery of Y in alpha build the integer degree tuple in one pass and hand it
 to one instance hook, _reduce_degrees, which maps it into the grading group
 (all zeros for FinVect, mod 2 for SuperVect, unchanged for GradedVect).
 Structural scalars are evaluated once per distinct degree pair: the
@@ -27,9 +27,10 @@ switching s_{X,Y} scales the pair (m, n) by _switch_scalar(m, n), which is
 
 from __future__ import annotations
 
-from .core import CategoryInstance, DirectSum, Morphism, ObjectRef
+from .core import CategoryInstance, DirectSum, Morphism, ObjectRef, instance_of
 from .errors import DomainMismatch, NotEndo
 from .matrices import RatMatrix, over_common_denominator
+from .thickened import ThickTriple, canonical_thickener, psi
 from ._rat import rat
 
 
@@ -258,7 +259,10 @@ def _split_cod(inst, t: Morphism, x: ObjectRef, xd: ObjectRef) -> ObjectRef:
     n = dim(x)
     if t.source != inst.unit_object():
         raise DomainMismatch("t must have the unit object as source")
-    if n == 0 or dim(t.target) % n != 0:
+    if n == 0:
+        raise DomainMismatch("Y cannot be recovered from t: I -> Y (x) X*"
+                             " when X is the zero object")
+    if dim(t.target) % n != 0:
         raise DomainMismatch("target of t does not factor as Y (x) X*")
     y = ObjectRef(inst.instance_id,
                   inst._reduce_degrees([d - xd.payload[0] for d in t.target.payload[::n]]))
@@ -269,31 +273,18 @@ def _split_cod(inst, t: Morphism, x: ObjectRef, xd: ObjectRef) -> ObjectRef:
 
 def phi(t: Morphism, x: ObjectRef) -> Morphism:
     """Turn t: I -> Y (x) X* into the map X -> Y it represents,
-    (id_Y (x) ev) . (t (x) id_X)."""
-    from .core import instance_of
-
-    inst = instance_of(t)
-    xd, ev, _ = inst.dual_data(x)
-    y = _split_cod(inst, t, x, xd)
-    lhs = inst.tensor(inst.identity(y), ev)
-    rhs = inst.tensor(t, inst.identity(x))
-    return inst.compose(lhs, rhs)
+    (id_Y (x) ev) . (t (x) id_X), which is psi of alpha(t, X)."""
+    return psi(alpha(t, x))
 
 
 def phi_inv(f: Morphism) -> Morphism:
-    """Inverse of phi on a dualizable source: f |-> (f (x) id_X*) . coev."""
-    from .core import instance_of
-
-    inst = instance_of(f)
-    xd, _, coev = inst.dual_data(f.source)
-    return inst.compose(inst.tensor(f, inst.identity(xd)), coev)
+    """Inverse of phi on a dualizable source: f |-> (f (x) id_X*) . coev,
+    the t of the canonical thickener of f."""
+    return canonical_thickener(f).t
 
 
 def alpha(t: Morphism, x: ObjectRef):
     """Package t: I -> Y (x) X* as the thick triple (X*, t, ev) over dom X."""
-    from .core import instance_of
-    from .thickened import ThickTriple
-
     inst = instance_of(t)
     xd, ev, _ = inst.dual_data(x)
     y = _split_cod(inst, t, x, xd)

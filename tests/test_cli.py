@@ -57,6 +57,17 @@ def test_traced_seed_env(capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 99
 
 
+def test_spellings_of_one_q_give_one_report(capsys):
+    """The report echoes q in lowest terms, so every spelling of one
+    rational runs the same graded instance and prints the same bytes."""
+    outs = {run_cli(capsys, "check", "--suite", "balanced.twist", "--suite", "whtr.3.graded",
+                    "--trials", "3", "--format", "json", "--q", q)
+            for q in ("3/2", "6/4", " 3/2", "+3/2")}
+    ((code, out, err),) = outs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["q"] == "3/2"
+
+
 def test_unknown_suite_errors(capsys):
     code, _out, err = run_cli(capsys, "check", "--suite", "nope.nothing", "--trials", "5")
     assert code == 2

@@ -61,6 +61,16 @@ def test_split_cod_rejects_a_target_that_does_not_factor():
         _split_cod(gq, t, x, gq.dual_obj(x))
 
 
+def test_y_is_not_recovered_when_x_is_the_zero_object():
+    """Y (x) 0 = 0 for every Y, so alpha and phi refuse X = 0 by name."""
+    x = fv.space(0)
+    t = phi_inv(fv.zero_mor(x, fv.space(2)))
+    for call in (lambda: _split_cod(fv, t, x, fv.dual_obj(x)), lambda: alpha(t, x),
+                 lambda: phi(t, x)):
+        with pytest.raises(DomainMismatch, match="cannot be recovered .* zero object"):
+            call()
+
+
 def closed_form_scalars(inst):
     """(switching, braiding, twist) scalars on homogeneous degrees m, n."""
     if inst is fv:
