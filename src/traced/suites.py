@@ -179,7 +179,7 @@ class Inputs(dict):
 
     def obj(self, *keys):
         """The object stored under each key; one key gives one object."""
-        objs = tuple(self[key].source for key in keys)
+        objs = [self[key].source for key in keys]
         return objs[0] if len(keys) == 1 else objs
 
     def triple(self, template: str, dom: ObjectRef, cod: ObjectRef) -> ThickTriple:
