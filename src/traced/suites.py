@@ -48,8 +48,11 @@ from .matrices import RatMatrix
 from .thickened import (
     ThickTriple,
     add_triples,
+    add_triples_composite,
     canonical_thickener,
+    canonical_thickener_composite,
     hat_comp_witness,
+    hat_comp_witness_composite,
     negate_triple,
     pad_thickener,
     post_compose,
@@ -441,7 +444,7 @@ def _draw_dual_trace(inst, cfg, rng):
 
 
 @family("dual.trace", "dual.2", "trace of the canonical thickener matches the classical value",
-        ("finvect", "supervect"), group="symmetric", draw=_draw_dual_trace)
+        ("finvect", "supervect", "graded"), group="symmetric", draw=_draw_dual_trace)
 def dual_trace(inst, inputs):
     f = inputs["f"]
     got = inst.scalar_value(tr_hat(canonical_thickener(f)))
@@ -663,13 +666,15 @@ def _draw_kernel_oracle(inst, cfg, rng):
 
 
 @family("kernel.oracle", "kernel.oracle",
-        "contraction kernels of psi, pre_compose and post_compose"
-        " equal the whiskered reference composites, and the switching"
-        " s_{X,Z} equals (id_Z (x) theta_X) . c_{X,Z}", MATRIX, draw=_draw_kernel_oracle)
+        "contraction kernels of psi, pre_compose, post_compose,"
+        " canonical_thickener, add_triples and hat_comp_witness equal the"
+        " whiskered reference composites, and the switching s_{X,Z} equals"
+        " (id_Z (x) theta_X) . c_{X,Z}", MATRIX, draw=_draw_kernel_oracle)
 def kernel_oracle(inst, inputs):
     f, g = inputs["f"], inputs["g"]
     tr = inputs.triple("{}", f.target, g.source)
-    yield (inst.mor_equal(psi(tr), psi_composite(tr)),
+    factored = psi(tr)
+    yield (inst.mor_equal(factored, psi_composite(tr)),
            "psi kernel differs from the whiskered composite")
     yield (inst.mor_equal(pre_compose(tr, f).b, pre_compose_composite(tr, f).b),
            "pre_compose kernel differs from the whiskered composite")
@@ -680,6 +685,14 @@ def kernel_oracle(inst, inputs):
                             inst.braiding_c(x, z))
     yield (inst.mor_equal(inst.switching(x, z), balanced),
            "switching differs from (id (x) theta) . c")
+    f_hat = canonical_thickener(f)
+    yield (f_hat == canonical_thickener_composite(f),
+           "canonical_thickener kernel differs from the whiskered composite")
+    summand = canonical_thickener(factored)
+    yield (add_triples(tr, summand) == add_triples_composite(tr, summand),
+           "add_triples kernel differs from the whiskered composite")
+    yield (inst.mor_equal(hat_comp_witness(tr, f_hat).g, hat_comp_witness_composite(tr, f_hat).g),
+           "hat_comp_witness kernel differs from the whiskered composite")
 
 
 def _draw_bal_relations(inst, cfg, rng):

@@ -17,11 +17,20 @@ ordinary morphisms, the canonical witness that hat(f1).f2 and f1.hat(f2)
 are one slide apart, the trace pairing, sums of triples over a biproduct,
 and the braided tensor product of triples.
 
-psi, pre_compose and post_compose use an instance's contraction kernel
-(`psi_kernel`, `pre_compose_kernel`, `post_compose_kernel`) when it defines
-one, as the matrix instances do.  The whiskered composites psi_composite,
-pre_compose_composite and post_compose_composite are the reference
-semantics and the only path for every other instance.
+Each operation below uses an instance's contraction kernel when the
+instance defines one, as the matrix instances do, and otherwise its
+whiskered composite, which is the reference semantics and the only path
+for every other instance:
+
+    psi                  psi_kernel                  psi_composite
+    pre_compose          pre_compose_kernel          pre_compose_composite
+    post_compose         post_compose_kernel         post_compose_composite
+    hat_comp_witness     hat_comp_witness_kernel     hat_comp_witness_composite
+    add_triples          add_triples_kernel          add_triples_composite
+    canonical_thickener  canonical_thickener_kernel  canonical_thickener_composite
+
+pad_thickener is add_triples with a summand whose t is zero, so it takes
+the add_triples path.  tr_hat and tensor_triples have no kernel.
 """
 
 from __future__ import annotations
@@ -157,8 +166,19 @@ def hat_comp_witness(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
 
     For triples of f1: X -> Y and f2: U -> X the witness is
     g = (b1 (x) id_{Z2}) . (id_{Z1} (x) t2): Z1 -> Z2, an equivalence from
-    pre_compose(tr1, psi(tr2)) to post_compose(psi(tr1), tr2).
-    """
+    pre_compose(tr1, psi(tr2)) to post_compose(psi(tr1), tr2).  g comes
+    from the instance's contraction kernel when it has one."""
+    kernel = getattr(instance_of(tr1.dom), "hat_comp_witness_kernel", None)
+    if kernel is None:
+        return hat_comp_witness_composite(tr1, tr2)
+    if tr2.cod != tr1.dom:
+        raise DomainMismatch("middle objects do not match")
+    return _hat_comp_slide(kernel(tr1, tr2), tr1, tr2)
+
+
+def hat_comp_witness_composite(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
+    """hat_comp_witness with g the whiskered composite
+    (b1 (x) id_{Z2}) . (id_{Z1} (x) t2); the reference."""
     if tr2.cod != tr1.dom:
         raise DomainMismatch("middle objects do not match")
     inst = instance_of(tr1.dom)
@@ -166,9 +186,12 @@ def hat_comp_witness(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
         inst.tensor(tr1.b, inst.identity(tr2.z)),
         inst.tensor(inst.identity(tr1.z), tr2.t),
     )
-    left = pre_compose(tr1, psi(tr2))
-    right = post_compose(psi(tr1), tr2)
-    return SlideWitness(g=g, left=left, right=right)
+    return _hat_comp_slide(g, tr1, tr2)
+
+
+def _hat_comp_slide(g: Morphism, tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
+    return SlideWitness(g=g, left=pre_compose(tr1, psi(tr2)),
+                        right=post_compose(psi(tr1), tr2))
 
 
 def trace_pairing(f_hat: ThickTriple, g: Morphism) -> Morphism:
@@ -204,7 +227,20 @@ def slide_pair(t: Morphism, b_prime: Morphism, g: Morphism,
 
 def add_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
     """Sum over the biproduct: Z = Z1 (+) Z2 with t the column (t1; t2) and
-    b the row (b1, b2); psi and tr_hat are additive in the summands."""
+    b the row (b1, b2); psi and tr_hat are additive in the summands.  Uses
+    the instance's contraction kernel when it has one."""
+    kernel = getattr(instance_of(tr1.dom), "add_triples_kernel", None)
+    if kernel is None:
+        return add_triples_composite(tr1, tr2)
+    if (tr1.dom, tr1.cod) != (tr2.dom, tr2.cod):
+        raise DomainMismatch("summands must share dom and cod")
+    return kernel(tr1, tr2)
+
+
+def add_triples_composite(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
+    """add_triples through the injections and projections of Z1 (+) Z2,
+    t = (id (x) inj1) . t1 + (id (x) inj2) . t2 and
+    b = b1 . (proj1 (x) id) + b2 . (proj2 (x) id); the reference."""
     inst = instance_of(tr1.dom)
     ds = inst.direct_sum(tr1.z, tr2.z)  # first, so a non-additive instance says so
     if (tr1.dom, tr1.cod) != (tr2.dom, tr2.cod):
@@ -236,18 +272,15 @@ def zero_triple(inst, dom: ObjectRef, cod: ObjectRef) -> ThickTriple:
 
 
 def pad_thickener(tr: ThickTriple, w: ObjectRef, junk: Morphism) -> ThickTriple:
-    """Enlarge the thickening object to Z (+) W, sending t through the first
-    summand and extending b by an arbitrary junk map W (x) X -> I.  Both psi
+    """Enlarge the thickening object to Z (+) W: the sum of tr and the
+    triple (W, 0, junk), for an arbitrary junk map W (x) X -> I.  Both psi
     and tr_hat ignore the padding (the W component of t is zero)."""
     inst = instance_of(tr.dom)
-    ds = inst.direct_sum(tr.z, w)
-    t = inst.compose(inst.tensor(inst.identity(tr.cod), ds.inj1), tr.t)
-    idd = inst.identity(tr.dom)
-    b = inst.add_mor(
-        inst.compose(tr.b, inst.tensor(ds.proj1, idd)),
-        inst.compose(junk, inst.tensor(ds.proj2, idd)),
-    )
-    return ThickTriple(dom=tr.dom, cod=tr.cod, z=ds.obj, t=t, b=b)
+    # the zero object comes before tensor_obj, so that a non-additive
+    # instance says so rather than reporting a label collision in Y (x) W
+    inst.zero_object()
+    t = inst.zero_mor(inst.unit_object(), inst.tensor_obj(tr.cod, w))
+    return add_triples(tr, ThickTriple(dom=tr.dom, cod=tr.cod, z=w, t=t, b=junk))
 
 
 # -- braided tensor product ---------------------------------------------------
@@ -286,7 +319,18 @@ def tensor_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
 
 
 def canonical_thickener(f: Morphism) -> ThickTriple:
-    """For f: X -> Y out of a dualizable object: (X*, (f (x) id_X*) . coev, ev)."""
+    """For f: X -> Y out of a dualizable object: (X*, (f (x) id_X*) . coev, ev),
+    with t from the instance's contraction kernel when it has one."""
+    inst = instance_of(f)
+    kernel = getattr(inst, "canonical_thickener_kernel", None)
+    if kernel is None:
+        return canonical_thickener_composite(f)
+    xd, ev, _coev = inst.dual_data(f.source)
+    return ThickTriple(dom=f.source, cod=f.target, z=xd, t=kernel(f, xd), b=ev)
+
+
+def canonical_thickener_composite(f: Morphism) -> ThickTriple:
+    """canonical_thickener with t the composite (f (x) id_X*) . coev; the reference."""
     inst = instance_of(f)
     xd, ev, coev = inst.dual_data(f.source)
     t = inst.compose(inst.tensor(f, inst.identity(xd)), coev)

@@ -27,6 +27,8 @@ switching s_{X,Y} scales the pair (m, n) by _switch_scalar(m, n), which is
 
 from __future__ import annotations
 
+from math import lcm
+
 from .core import CategoryInstance, DirectSum, Morphism, ObjectRef, instance_of
 from .errors import DomainMismatch, NotEndo
 from .matrices import RatMatrix, over_common_denominator
@@ -227,13 +229,21 @@ class MatrixCategory(CategoryInstance):
 
     # contraction kernels ---------------------------------------------------
     #
-    # thickened.psi, pre_compose and post_compose call these instead of the
-    # whiskered composites, whose (Y (x) Z (x) X)-sized Kronecker
-    # intermediates they avoid.  With indices flattened row-major, t is the
-    # |Y| x |Z| matrix T (row y*|Z| + z) and b the |Z| x |X| matrix B (column
-    # z*|X| + x), so each composite is one product.  The composites in
-    # thickened.py stay the reference; suites kernel.oracle.* check that
-    # both paths agree.
+    # thickened.py calls these instead of the whiskered composites, whose
+    # Kronecker intermediates and injection/projection products they avoid:
+    #
+    #     psi_kernel                  psi_composite
+    #     pre_compose_kernel          pre_compose_composite
+    #     post_compose_kernel         post_compose_composite
+    #     hat_comp_witness_kernel     hat_comp_witness_composite
+    #     add_triples_kernel          add_triples_composite
+    #     canonical_thickener_kernel  canonical_thickener_composite
+    #
+    # With indices flattened row-major, t is the |Y| x |Z| matrix T (row
+    # y*|Z| + z) and b the |Z| x |X| matrix B (column z*|X| + x), so each
+    # composite is one product, one reshape or one re-indexing of entries.
+    # The composites in thickened.py stay the reference; suites
+    # kernel.oracle.* check that both paths agree.
 
     def psi_kernel(self, tr) -> Morphism:
         """psi(Z, t, b) = (id_Y (x) b) . (t (x) id_X) as T @ B."""
@@ -252,6 +262,44 @@ class MatrixCategory(CategoryInstance):
         product = f.payload @ tr.t.payload.reshape(dim(tr.cod), dim(tr.z))
         return Morphism(self.instance_id, tr.t.source, self.tensor_obj(f.target, tr.z),
                         product.reshape(product.rows * product.cols, 1))
+
+    def hat_comp_witness_kernel(self, tr1, tr2) -> Morphism:
+        """g = (b1 (x) id_{Z2}) . (id_{Z1} (x) t2): Z1 -> Z2 as (B1 @ T2)^T."""
+        b1 = tr1.b.payload.reshape(dim(tr1.z), dim(tr1.dom))
+        t2 = tr2.t.payload.reshape(dim(tr2.cod), dim(tr2.z))
+        return Morphism(self.instance_id, tr1.z, tr2.z, (b1 @ t2).transpose())
+
+    def add_triples_kernel(self, tr1, tr2) -> ThickTriple:
+        """The sum over Z = Z1 (+) Z2 in direct_sum basis order, with both
+        summands over the lcm of their denominators: t1's entry y*n1 + z
+        moves to y*(n1 + n2) + z and t2's entry y*n2 + z to
+        y*(n1 + n2) + n1 + z; b is b1 followed by b2 shifted by n1*|X|."""
+        n1, n2, nx, ny = dim(tr1.z), dim(tr2.z), dim(tr1.dom), dim(tr1.cod)
+        n = n1 + n2
+        t1, t2, b1, b2 = tr1.t.payload, tr2.t.payload, tr1.b.payload, tr2.b.payload
+        tden, bden = lcm(t1.den, t2.den), lcm(b1.den, b2.den)
+        s1, s2 = tden // t1.den, tden // t2.den
+        t = {(i // n1 * n + i % n1, 0): v * s1 for (i, _), v in t1.num.items()}
+        t.update({(i // n2 * n + n1 + i % n2, 0): v * s2 for (i, _), v in t2.num.items()})
+        s1, s2, shift = bden // b1.den, bden // b2.den, n1 * nx
+        b = {(0, j): v * s1 for (_, j), v in b1.num.items()}
+        b.update({(0, shift + j): v * s2 for (_, j), v in b2.num.items()})
+        z = ObjectRef(self.instance_id, tr1.z.payload + tr2.z.payload)
+        unit = tr1.t.source
+        return ThickTriple(
+            dom=tr1.dom, cod=tr1.cod, z=z,
+            t=Morphism(self.instance_id, unit, self.tensor_obj(tr1.cod, z),
+                       RatMatrix(ny * n, 1, t, tden)),
+            b=Morphism(self.instance_id, self.tensor_obj(z, tr1.dom), unit,
+                       RatMatrix(1, n * nx, b, bden)),
+        )
+
+    def canonical_thickener_kernel(self, f: Morphism, xd: ObjectRef) -> Morphism:
+        """t = (f (x) id_X*) . coev, whose entry y*|X| + x is f[y][x]: f's
+        matrix read row-major into a column."""
+        m = f.payload
+        return Morphism(self.instance_id, self.unit_object(), self.tensor_obj(f.target, xd),
+                        m.reshape(m.rows * m.cols, 1))
 
 
 def _split_cod(inst, t: Morphism, x: ObjectRef, xd: ObjectRef) -> ObjectRef:

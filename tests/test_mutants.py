@@ -7,6 +7,7 @@ suite reports only its counts, so the report pins cannot see a dropped
 claim; these kills can.  Each test runs one suite at 40 trials, seed 42.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -74,6 +75,40 @@ def psi_kernel_doubled(patch):
     patch(MatrixCategory, "psi_kernel", doubled)
 
 
+def canonical_f_transposed(patch):
+    """The canonical_thickener kernel reads f's transpose into t."""
+    kernel = MatrixCategory.canonical_thickener_kernel
+
+    def transposed(self, f, xd):
+        return kernel(self, dataclasses.replace(f, payload=f.payload.transpose()), xd)
+
+    patch(MatrixCategory, "canonical_thickener_kernel", transposed)
+
+
+def add_triples_b_blocks_swapped(patch):
+    """The add_triples kernel lays b2's block before b1's in b, against the
+    Z1 (+) Z2 order of t."""
+    kernel = MatrixCategory.add_triples_kernel
+
+    def swapped(self, tr1, tr2):
+        total = kernel(self, tr1, tr2)
+        b = dataclasses.replace(total.b, payload=kernel(self, tr2, tr1).b.payload)
+        return dataclasses.replace(total, b=b)
+
+    patch(MatrixCategory, "add_triples_kernel", swapped)
+
+
+def hat_witness_untransposed(patch):
+    """The hat_comp_witness kernel returns B1 @ T2 without the transpose."""
+    kernel = MatrixCategory.hat_comp_witness_kernel
+
+    def untransposed(self, tr1, tr2):
+        g = kernel(self, tr1, tr2)
+        return dataclasses.replace(g, payload=g.payload.transpose())
+
+    patch(MatrixCategory, "hat_comp_witness_kernel", untransposed)
+
+
 def chain_length_longest_piece(patch):
     """rbord1 gives a glued chain the length of its longest piece, not the sum."""
     def chains(arcs, glue, ends=()):
@@ -114,18 +149,35 @@ KILLS = {
     inverse_braiding_over: ("whtr.3.graded", "psi is not multiplicative"),
     coev_scaled: ("dual.bijection.finvect", "zigzag identities fail"),
     psi_kernel_doubled: ("kernel.oracle.finvect", "psi kernel differs from the whiskered composite"),
+    canonical_f_transposed: ("kernel.oracle.finvect",
+                             "canonical_thickener kernel differs from the whiskered composite"),
+    add_triples_b_blocks_swapped: ("kernel.oracle.finvect",
+                                   "add_triples kernel differs from the whiskered composite"),
+    hat_witness_untransposed: ("kernel.oracle.finvect",
+                               "hat_comp_witness kernel differs from the whiskered composite"),
     chain_length_longest_piece: ("bord.glue", "glue_trace != tr_hat . cut_thickener"),
     closed_chains_dropped: ("sec2.partition", "partition value 1 != pairing -8192"),
 }
 
 
-@pytest.mark.parametrize("mutant", list(KILLS), ids=lambda m: m.__name__)
-def test_mutant_turns_a_property_suite_red(monkeypatch, mutant):
+def assert_killed(monkeypatch, mutant, sid, detail):
     """The suite's first failure at 40 trials, seed 42, is the named claim;
     an exception would fail the test instead."""
-    sid, detail = KILLS[mutant]
     suite = REGISTRY[sid]
     assert not suite.expect_counterexample
     mutant(monkeypatch.setattr)
     res = run_one(suite, SuiteConfig(suites=(sid,), trials=40, seed=42))
     assert res.failures > 0 and res.counterexample["detail"] == detail
+
+
+@pytest.mark.parametrize("mutant", list(KILLS), ids=lambda m: m.__name__)
+def test_mutant_turns_a_property_suite_red(monkeypatch, mutant):
+    assert_killed(monkeypatch, mutant, *KILLS[mutant])
+
+
+def test_dual_trace_graded_sees_tr_hat_braids(monkeypatch):
+    """Closing tr_hat with c_{X,X*} scales the diagonal term of degree m by
+    q^{-m^2}, which the classical trace of the canonical thickener exposes;
+    whtr.3.graded alone saw this mutant before."""
+    assert_killed(monkeypatch, tr_hat_braids, "dual.trace.graded",
+                  "categorical 1/6 != classical trace 1/3")

@@ -134,7 +134,7 @@ PINNED_SUITES = (
 PINNED_REPORT_SHA256 = "d53845896cc99025f2a2b601a9b9c98a869758d56591c39c6d91463ce469406f"
 # Every registered suite, so that registry order, the corpus trial count and
 # every verdict enter the hashed bytes.
-ALL_SUITES_REPORT_SHA256 = "77ff36727dddd3231ad3928975eb5039e664664bafac9381873d345d84dc4951"
+ALL_SUITES_REPORT_SHA256 = "9eb393707ae8fbddbae65b558db652b7c50e98b2d1ccc32c602e52e1593a5427"
 
 
 @pytest.mark.parametrize("cfg, digest", [
@@ -151,18 +151,21 @@ def test_report_bytes_are_pinned(cfg, digest):
     switching scalars q^{mn + m^2} reach high powers; it was recorded before
     the integer matrix core replaced the Fraction-dict storage.  The
     all-suites case was recorded before the suites became declaratively
-    registered families with one trial loop."""
+    registered families with one trial loop, and re-recorded when
+    dual.trace.graded joined the registry; the other 65 entries of the
+    re-recorded report are byte-identical to the earlier one."""
     text = json.dumps(run_suite(cfg).as_json(), indent=1, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-GENERATED_INPUTS_SHA256 = "63a31bcbe8dbe7c8cfc044bd49878b1c261d0d1ab625531f07a2d27acf240839"
+GENERATED_INPUTS_SHA256 = "58e11b67428103cc890eceaaa2f8e2ec346d97e6cdb8fa5610183bcec3b1307a"
 
 
 def test_generated_inputs_are_pinned():
     """The serialized inputs of trials 0-4 of every registered suite hash to
     a constant recorded before the suites became declaratively registered
-    families.  A passing suite's report never shows its inputs, so this is
+    families, and re-recorded when dual.trace.graded joined the registry
+    (the rows of the other suites are unchanged).  A passing suite's report never shows its inputs, so this is
     what catches a reordered rng draw or a renamed input key, either of
     which would stop older replay files from replaying."""
     cfg = SuiteConfig(seed=7, q="3/2")

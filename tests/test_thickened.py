@@ -21,7 +21,14 @@ from traced import (
 from traced.errors import CapabilityMissing, DomainMismatch, NotEndo
 from traced.gens import gen_endo_pair, gen_matrix_mor, gen_object, gen_triple, trial_stream
 from traced.matrices import RatMatrix
-from traced.thickened import post_compose_composite, pre_compose_composite, psi_composite
+from traced.thickened import (
+    add_triples_composite,
+    canonical_thickener_composite,
+    hat_comp_witness_composite,
+    post_compose_composite,
+    pre_compose_composite,
+    psi_composite,
+)
 
 fv = get_instance("finvect")
 sv = get_instance("supervect")
@@ -310,8 +317,11 @@ def test_canonical_thickener_at_the_zero_object(inst):
 
 
 def assert_kernels_match_reference(inst, tri, rng):
-    """psi, pre_compose and post_compose equal their reference composites,
-    with f: W -> dom and g: cod -> V drawn at random."""
+    """Every contraction kernel equals its reference composite, with
+    f: W -> dom and g: cod -> V drawn at random: psi, pre_compose and
+    post_compose on tri; canonical_thickener on f; add_triples of tri with
+    itself and with the canonical thickener of psi(tri); and
+    hat_comp_witness of tri and the canonical thickener of f."""
     assert inst.mor_equal(psi(tri), psi_composite(tri))
     w = gen_object(inst, rng, 3, 2)
     f = gen_matrix_mor(inst, w, tri.dom, rng)
@@ -319,6 +329,12 @@ def assert_kernels_match_reference(inst, tri, rng):
     v = gen_object(inst, rng, 3, 2)
     g = gen_matrix_mor(inst, tri.cod, v, rng)
     assert post_compose(g, tri) == post_compose_composite(g, tri)
+    f_hat = canonical_thickener(f)
+    assert f_hat == canonical_thickener_composite(f)
+    summand = canonical_thickener(psi(tri))
+    for other in (tri, summand):
+        assert add_triples(tri, other) == add_triples_composite(tri, other)
+    assert hat_comp_witness(tri, f_hat) == hat_comp_witness_composite(tri, f_hat)
 
 
 def random_triple(inst, x, y, z, rng):
@@ -374,6 +390,7 @@ def test_kernels_graded_mixed_degrees():
 
 def test_bordism_instance_has_no_kernel():
     rb = get_instance("rbord1")
-    for name in ("psi_kernel", "pre_compose_kernel", "post_compose_kernel"):
+    for name in ("psi_kernel", "pre_compose_kernel", "post_compose_kernel",
+                 "hat_comp_witness_kernel", "add_triples_kernel", "canonical_thickener_kernel"):
         assert not hasattr(rb, name)
         assert all(hasattr(inst, name) for inst in MATRIX)
