@@ -12,9 +12,10 @@ fails.  Exit code 2 means unusable input (an unknown suite, a `--q` that is
 not `p` or `p/q` or that the graded instance rejects, a `--trials` below 1,
 a non-integer TRACED_SEED, a missing or malformed replay file, a rejected
 .diag program, a missing or malformed `--matrix` file, a `--length` below
-1, or a replay file, .diag program or `--matrix` file nested too deeply to
-read), reported in one line on stderr.  TRACED_SEED overrides the
-default seed.  The report echoes `--q` in lowest terms ("6/4" as "3/2").
+1, a replay file, .diag program or `--matrix` file that is not UTF-8, or one
+nested too deeply to read), reported in one line on stderr.  TRACED_SEED
+overrides the default seed.  The report echoes `--q` in lowest terms ("6/4"
+as "3/2").
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _BAD_DATA = (TracedError, KeyError, TypeError, ValueError, AttributeError, Index
 def _replay_entries(path: str) -> list:
     """(suite id, serialized inputs) of every counterexample stored in a
     report file, or of the one entry in a {"suite", "inputs"} file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("replay file must hold a JSON object")
@@ -141,10 +142,13 @@ def cmd_eval(args) -> int:
     from .errors import DslError
 
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"{args.file}: not UTF-8: {exc}", file=sys.stderr)
         return 2
     try:
         report = run_text(text)
@@ -175,7 +179,7 @@ def _load_matrix(path: str):
     "p/q" strings."""
     from .matrices import RatMatrix
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("the matrix must be a JSON list of rows")

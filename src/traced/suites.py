@@ -27,7 +27,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from . import serde
@@ -269,6 +269,15 @@ def _gen_same_parity(inst, rng: Stream, cfg: SuiteConfig, *prefixes):
     return [gen_object(inst, rng, cfg.max_dim, cfg.max_degree) for _ in prefixes]
 
 
+def _draw_objects(names: str, cap=None):
+    """The draw of one object per name, in order, each of at most
+    min(cfg.max_dim, cap) basis vectors."""
+    def draw(inst, cfg, rng):
+        dim_cap = cfg.max_dim if cap is None else min(cfg.max_dim, cap)
+        return {name: gen_object(inst, rng, dim_cap, cfg.max_degree) for name in names}
+    return draw
+
+
 def _draw_core_laws(inst, cfg, rng):
     a, b, c, d = _gen_chain_objects(inst, rng, cfg, 4, "a")
     e, f3, g3 = _gen_chain_objects(inst, rng, cfg, 3, "m")
@@ -408,14 +417,8 @@ def lem_witness(inst, inputs):
            "witnessed triples do not factor the composite")
 
 
-def _draw_core_symmetry(inst, cfg, rng):
-    x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-    y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-    return {"x": x, "y": y}
-
-
 @family("core.symmetry", "core.symmetry", "s(Y,X) . s(X,Y) = id in symmetric instances",
-        ("finvect", "supervect"), group="symmetric", draw=_draw_core_symmetry)
+        ("finvect", "supervect"), group="symmetric", draw=_draw_objects("xy"))
 def core_symmetry(inst, inputs):
     x, y = inputs.obj("x", "y")
     both = inst.compose(inst.switching(y, x), inst.switching(x, y))
@@ -676,9 +679,9 @@ def kernel_oracle(inst, inputs):
     factored = psi(tr)
     yield (inst.mor_equal(factored, psi_composite(tr)),
            "psi kernel differs from the whiskered composite")
-    yield (inst.mor_equal(pre_compose(tr, f).b, pre_compose_composite(tr, f).b),
+    yield (inst.mor_equal(pre_compose(tr, f).b, pre_compose_composite(tr, f)),
            "pre_compose kernel differs from the whiskered composite")
-    yield (inst.mor_equal(post_compose(g, tr).t, post_compose_composite(g, tr).t),
+    yield (inst.mor_equal(post_compose(g, tr).t, post_compose_composite(g, tr)),
            "post_compose kernel differs from the whiskered composite")
     x, z = tr.dom, tr.z
     balanced = inst.compose(inst.tensor(inst.identity(z), inst.twist_theta(x)),
@@ -686,22 +689,17 @@ def kernel_oracle(inst, inputs):
     yield (inst.mor_equal(inst.switching(x, z), balanced),
            "switching differs from (id (x) theta) . c")
     f_hat = canonical_thickener(f)
-    yield (f_hat == canonical_thickener_composite(f),
+    yield (f_hat.t == canonical_thickener_composite(f, f_hat.z),
            "canonical_thickener kernel differs from the whiskered composite")
     summand = canonical_thickener(factored)
     yield (add_triples(tr, summand) == add_triples_composite(tr, summand),
            "add_triples kernel differs from the whiskered composite")
-    yield (inst.mor_equal(hat_comp_witness(tr, f_hat).g, hat_comp_witness_composite(tr, f_hat).g),
+    yield (inst.mor_equal(hat_comp_witness(tr, f_hat).g, hat_comp_witness_composite(tr, f_hat)),
            "hat_comp_witness kernel differs from the whiskered composite")
 
 
-def _draw_bal_relations(inst, cfg, rng):
-    xs = [gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree) for _ in range(3)]
-    return {"x": xs[0], "y": xs[1], "z": xs[2]}
-
-
 @family("balanced.relations", "bal.relations", "both braiding coherence relations hold exactly",
-        instance="graded", draw=_draw_bal_relations)
+        instance="graded", draw=_draw_objects("xyz", cap=3))
 def bal_relations(inst, inputs):
     x, y, z = inputs.obj("x", "y", "z")
     idx, idy, idz = inst.identity(x), inst.identity(y), inst.identity(z)
@@ -715,15 +713,9 @@ def bal_relations(inst, inputs):
     yield inst.mor_equal(lhs, rhs), "braiding relation (second) fails"
 
 
-def _draw_bal_twist(inst, cfg, rng):
-    x = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
-    y = gen_object(inst, rng, min(cfg.max_dim, 3), cfg.max_degree)
-    return {"x": x, "y": y}
-
-
 @family("balanced.twist", "bal.twist",
         "theta on a tensor equals the double braiding times the twists",
-        instance="graded", draw=_draw_bal_twist)
+        instance="graded", draw=_draw_objects("xy", cap=3))
 def bal_twist(inst, inputs):
     x, y = inputs.obj("x", "y")
     lhs = inst.twist_theta(inst.tensor_obj(x, y))
@@ -826,21 +818,15 @@ def twistless_control(inst, inputs):
 
 
 def tensor_triples_uniform_crossing(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
-    """The wrong convention: both crossings read as the over-crossing."""
+    """The wrong convention: both crossings read as the over-crossing, so b
+    crosses with c_{Z2,X1} where tensor_triples takes the inverse braiding."""
     inst = get_instance(tr1.instance_id)
-    z = inst.tensor_obj(tr1.z, tr2.z)
-    chi_t = inst.braiding_c(tr1.z, tr2.cod)
-    t = inst.compose(
-        inst.tensor(inst.tensor(inst.identity(tr1.cod), chi_t), inst.identity(tr2.z)),
-        inst.tensor(tr1.t, tr2.t),
-    )
     chi_b = inst.braiding_c(tr2.z, tr1.dom)
     b = inst.compose(
         inst.tensor(tr1.b, tr2.b),
         inst.tensor(inst.tensor(inst.identity(tr1.z), chi_b), inst.identity(tr2.dom)),
     )
-    return ThickTriple(dom=inst.tensor_obj(tr1.dom, tr2.dom),
-                       cod=inst.tensor_obj(tr1.cod, tr2.cod), z=z, t=t, b=b)
+    return replace(tensor_triples(tr1, tr2), b=b)
 
 
 @family("graded.crossing-regression", "whtr.3",

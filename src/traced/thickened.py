@@ -17,17 +17,16 @@ ordinary morphisms, the canonical witness that hat(f1).f2 and f1.hat(f2)
 are one slide apart, the trace pairing, sums of triples over a biproduct,
 and the braided tensor product of triples.
 
-Each operation below uses an instance's contraction kernel when the
-instance defines one, as the matrix instances do, and otherwise its
-whiskered composite, which is the reference semantics and the only path
-for every other instance:
+Six operations have a contraction kernel on the matrix instances.  Each
+states its domain check once, makes one call getattr(inst, "<op>_kernel",
+<op>_composite)(...) and builds its result from what that returns.  The
+kernel, a method of the instance, and the whiskered composite below, the
+reference semantics and the only path for other instances, take the same
+arguments and return the same component:
 
-    psi                  psi_kernel                  psi_composite
-    pre_compose          pre_compose_kernel          pre_compose_composite
-    post_compose         post_compose_kernel         post_compose_composite
-    hat_comp_witness     hat_comp_witness_kernel     hat_comp_witness_composite
-    add_triples          add_triples_kernel          add_triples_composite
-    canonical_thickener  canonical_thickener_kernel  canonical_thickener_composite
+    psi (tr): the morphism           hat_comp_witness (tr1, tr2): the slide g
+    pre_compose (tr, f): the new b   canonical_thickener (f, xd): t, xd = X*
+    post_compose (f, tr): the new t  add_triples (tr1, tr2): the sum triple
 
 pad_thickener is add_triples with a summand whose t is zero, so it takes
 the add_triples path.  tr_hat and tensor_triples have no kernel.
@@ -86,12 +85,8 @@ class SlideWitness:
 
 
 def psi(tr: ThickTriple) -> Morphism:
-    """(id_Y (x) b) . (t (x) id_X): the morphism the triple factors.
-
-    Uses the instance's contraction kernel when it has one, else the
-    whiskered composite psi_composite, which stays the reference."""
-    kernel = getattr(instance_of(tr.dom), "psi_kernel", None)
-    return psi_composite(tr) if kernel is None else kernel(tr)
+    """(id_Y (x) b) . (t (x) id_X): the morphism the triple factors."""
+    return getattr(instance_of(tr.dom), "psi_kernel", psi_composite)(tr)
 
 
 def psi_composite(tr: ThickTriple) -> Morphism:
@@ -122,43 +117,31 @@ def tr_hat(tr: ThickTriple) -> Morphism:
 
 
 def pre_compose(tr: ThickTriple, f: Morphism) -> ThickTriple:
-    """Triple for hat . f: replace b by b . (id_Z (x) f), through the
-    instance's contraction kernel when it has one."""
-    kernel = getattr(instance_of(tr.dom), "pre_compose_kernel", None)
-    if kernel is None:
-        return pre_compose_composite(tr, f)
+    """Triple for hat . f: replace b by b . (id_Z (x) f)."""
     if f.target != tr.dom:
         raise DomainMismatch("pre_compose needs target(f) = dom of the triple")
-    return ThickTriple(dom=f.source, cod=tr.cod, z=tr.z, t=tr.t, b=kernel(tr, f))
-
-
-def pre_compose_composite(tr: ThickTriple, f: Morphism) -> ThickTriple:
-    """pre_compose by the whiskered composite b . (id_Z (x) f); the reference."""
-    inst = instance_of(tr.dom)
-    if f.target != tr.dom:
-        raise DomainMismatch("pre_compose needs target(f) = dom of the triple")
-    b = inst.compose(tr.b, inst.tensor(inst.identity(tr.z), f))
+    b = getattr(instance_of(tr.dom), "pre_compose_kernel", pre_compose_composite)(tr, f)
     return ThickTriple(dom=f.source, cod=tr.cod, z=tr.z, t=tr.t, b=b)
 
 
-def post_compose(f: Morphism, tr: ThickTriple) -> ThickTriple:
-    """Triple for f . hat: replace t by (f (x) id_Z) . t, through the
-    instance's contraction kernel when it has one."""
-    kernel = getattr(instance_of(tr.dom), "post_compose_kernel", None)
-    if kernel is None:
-        return post_compose_composite(f, tr)
-    if f.source != tr.cod:
-        raise DomainMismatch("post_compose needs source(f) = cod of the triple")
-    return ThickTriple(dom=tr.dom, cod=f.target, z=tr.z, t=kernel(f, tr), b=tr.b)
-
-
-def post_compose_composite(f: Morphism, tr: ThickTriple) -> ThickTriple:
-    """post_compose by the whiskered composite (f (x) id_Z) . t; the reference."""
+def pre_compose_composite(tr: ThickTriple, f: Morphism) -> Morphism:
+    """The b of pre_compose as the whiskered composite b . (id_Z (x) f); the reference."""
     inst = instance_of(tr.dom)
+    return inst.compose(tr.b, inst.tensor(inst.identity(tr.z), f))
+
+
+def post_compose(f: Morphism, tr: ThickTriple) -> ThickTriple:
+    """Triple for f . hat: replace t by (f (x) id_Z) . t."""
     if f.source != tr.cod:
         raise DomainMismatch("post_compose needs source(f) = cod of the triple")
-    t = inst.compose(inst.tensor(f, inst.identity(tr.z)), tr.t)
+    t = getattr(instance_of(tr.dom), "post_compose_kernel", post_compose_composite)(f, tr)
     return ThickTriple(dom=tr.dom, cod=f.target, z=tr.z, t=t, b=tr.b)
+
+
+def post_compose_composite(f: Morphism, tr: ThickTriple) -> Morphism:
+    """The t of post_compose as the whiskered composite (f (x) id_Z) . t; the reference."""
+    inst = instance_of(tr.dom)
+    return inst.compose(inst.tensor(f, inst.identity(tr.z)), tr.t)
 
 
 def hat_comp_witness(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
@@ -166,32 +149,23 @@ def hat_comp_witness(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
 
     For triples of f1: X -> Y and f2: U -> X the witness is
     g = (b1 (x) id_{Z2}) . (id_{Z1} (x) t2): Z1 -> Z2, an equivalence from
-    pre_compose(tr1, psi(tr2)) to post_compose(psi(tr1), tr2).  g comes
-    from the instance's contraction kernel when it has one."""
-    kernel = getattr(instance_of(tr1.dom), "hat_comp_witness_kernel", None)
-    if kernel is None:
-        return hat_comp_witness_composite(tr1, tr2)
-    if tr2.cod != tr1.dom:
-        raise DomainMismatch("middle objects do not match")
-    return _hat_comp_slide(kernel(tr1, tr2), tr1, tr2)
-
-
-def hat_comp_witness_composite(tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
-    """hat_comp_witness with g the whiskered composite
-    (b1 (x) id_{Z2}) . (id_{Z1} (x) t2); the reference."""
+    pre_compose(tr1, psi(tr2)) to post_compose(psi(tr1), tr2)."""
     if tr2.cod != tr1.dom:
         raise DomainMismatch("middle objects do not match")
     inst = instance_of(tr1.dom)
-    g = inst.compose(
+    g = getattr(inst, "hat_comp_witness_kernel", hat_comp_witness_composite)(tr1, tr2)
+    return SlideWitness(g=g, left=pre_compose(tr1, psi(tr2)),
+                        right=post_compose(psi(tr1), tr2))
+
+
+def hat_comp_witness_composite(tr1: ThickTriple, tr2: ThickTriple) -> Morphism:
+    """The g of hat_comp_witness as the whiskered composite
+    (b1 (x) id_{Z2}) . (id_{Z1} (x) t2); the reference."""
+    inst = instance_of(tr1.dom)
+    return inst.compose(
         inst.tensor(tr1.b, inst.identity(tr2.z)),
         inst.tensor(inst.identity(tr1.z), tr2.t),
     )
-    return _hat_comp_slide(g, tr1, tr2)
-
-
-def _hat_comp_slide(g: Morphism, tr1: ThickTriple, tr2: ThickTriple) -> SlideWitness:
-    return SlideWitness(g=g, left=pre_compose(tr1, psi(tr2)),
-                        right=post_compose(psi(tr1), tr2))
 
 
 def trace_pairing(f_hat: ThickTriple, g: Morphism) -> Morphism:
@@ -227,14 +201,12 @@ def slide_pair(t: Morphism, b_prime: Morphism, g: Morphism,
 
 def add_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
     """Sum over the biproduct: Z = Z1 (+) Z2 with t the column (t1; t2) and
-    b the row (b1, b2); psi and tr_hat are additive in the summands.  Uses
-    the instance's contraction kernel when it has one."""
-    kernel = getattr(instance_of(tr1.dom), "add_triples_kernel", None)
-    if kernel is None:
-        return add_triples_composite(tr1, tr2)
+    b the row (b1, b2); psi and tr_hat are additive in the summands."""
+    inst = instance_of(tr1.dom)
+    inst.zero_object()  # first, so a non-additive instance says so
     if (tr1.dom, tr1.cod) != (tr2.dom, tr2.cod):
         raise DomainMismatch("summands must share dom and cod")
-    return kernel(tr1, tr2)
+    return getattr(inst, "add_triples_kernel", add_triples_composite)(tr1, tr2)
 
 
 def add_triples_composite(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
@@ -242,9 +214,7 @@ def add_triples_composite(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
     t = (id (x) inj1) . t1 + (id (x) inj2) . t2 and
     b = b1 . (proj1 (x) id) + b2 . (proj2 (x) id); the reference."""
     inst = instance_of(tr1.dom)
-    ds = inst.direct_sum(tr1.z, tr2.z)  # first, so a non-additive instance says so
-    if (tr1.dom, tr1.cod) != (tr2.dom, tr2.cod):
-        raise DomainMismatch("summands must share dom and cod")
+    ds = inst.direct_sum(tr1.z, tr2.z)
     idc = inst.identity(tr1.cod)
     idd = inst.identity(tr1.dom)
     t = inst.add_mor(
@@ -319,19 +289,16 @@ def tensor_triples(tr1: ThickTriple, tr2: ThickTriple) -> ThickTriple:
 
 
 def canonical_thickener(f: Morphism) -> ThickTriple:
-    """For f: X -> Y out of a dualizable object: (X*, (f (x) id_X*) . coev, ev),
-    with t from the instance's contraction kernel when it has one."""
+    """For f: X -> Y out of a dualizable object: (X*, (f (x) id_X*) . coev, ev)."""
     inst = instance_of(f)
-    kernel = getattr(inst, "canonical_thickener_kernel", None)
-    if kernel is None:
-        return canonical_thickener_composite(f)
     xd, ev, _coev = inst.dual_data(f.source)
-    return ThickTriple(dom=f.source, cod=f.target, z=xd, t=kernel(f, xd), b=ev)
-
-
-def canonical_thickener_composite(f: Morphism) -> ThickTriple:
-    """canonical_thickener with t the composite (f (x) id_X*) . coev; the reference."""
-    inst = instance_of(f)
-    xd, ev, coev = inst.dual_data(f.source)
-    t = inst.compose(inst.tensor(f, inst.identity(xd)), coev)
+    t = getattr(inst, "canonical_thickener_kernel", canonical_thickener_composite)(f, xd)
     return ThickTriple(dom=f.source, cod=f.target, z=xd, t=t, b=ev)
+
+
+def canonical_thickener_composite(f: Morphism, xd: ObjectRef) -> Morphism:
+    """The t of canonical_thickener as the composite (f (x) id_X*) . coev,
+    with coev from dual_data; the reference."""
+    inst = instance_of(f)
+    coev = inst.dual_data(f.source)[2]
+    return inst.compose(inst.tensor(f, inst.identity(xd)), coev)

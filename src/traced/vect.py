@@ -229,21 +229,11 @@ class MatrixCategory(CategoryInstance):
 
     # contraction kernels ---------------------------------------------------
     #
-    # thickened.py calls these instead of the whiskered composites, whose
-    # Kronecker intermediates and injection/projection products they avoid:
-    #
-    #     psi_kernel                  psi_composite
-    #     pre_compose_kernel          pre_compose_composite
-    #     post_compose_kernel         post_compose_composite
-    #     hat_comp_witness_kernel     hat_comp_witness_composite
-    #     add_triples_kernel          add_triples_composite
-    #     canonical_thickener_kernel  canonical_thickener_composite
-    #
-    # With indices flattened row-major, t is the |Y| x |Z| matrix T (row
-    # y*|Z| + z) and b the |Z| x |X| matrix B (column z*|X| + x), so each
-    # composite is one product, one reshape or one re-indexing of entries.
-    # The composites in thickened.py stay the reference; suites
-    # kernel.oracle.* check that both paths agree.
+    # Each <op>_kernel takes the arguments of thickened.<op>_composite and
+    # returns the same component; the thickened.py docstring states that
+    # contract.  With indices flattened row-major, t is the |Y| x |Z| matrix
+    # T (row y*|Z| + z) and b the |Z| x |X| matrix B (column z*|X| + x), so
+    # each composite is one product, one reshape or one re-indexing of entries.
 
     def psi_kernel(self, tr) -> Morphism:
         """psi(Z, t, b) = (id_Y (x) b) . (t (x) id_X) as T @ B."""

@@ -428,6 +428,21 @@ def test_input_nested_too_deeply_exits_2(tmp_path, capsys, name, content, argv):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("eval",), id="eval"),
+    pytest.param(("check", "--replay"), id="replay"),
+    pytest.param(("demo", "partition", "--length", "3", "--matrix"), id="matrix"),
+])
+def test_input_not_utf8_exits_2(tmp_path, capsys, argv):
+    """A file that does not decode as UTF-8 is rejected input: one stderr
+    line naming the file and exit 2, not a traceback and exit 1."""
+    path = tmp_path / "input"
+    path.write_bytes(b"instance finvect\n\xff\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, out, err)
+    assert str(path) in err
+
+
 def test_long_flat_chain_still_evaluates(tmp_path, capsys):
     path = tmp_path / "chain.diag"
     path.write_text(_chain(450))

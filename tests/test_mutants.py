@@ -17,7 +17,7 @@ from traced.core import Morphism, instance_of
 from traced.graded import GradedVect
 from traced.matrices import RatMatrix
 from traced.suites import REGISTRY, SuiteConfig, run_one
-from traced.vect import MatrixCategory, SuperVect
+from traced.vect import MatrixCategory, SuperVect, dim
 
 
 def koszul_sign_dropped(patch):
@@ -109,6 +109,30 @@ def hat_witness_untransposed(patch):
     patch(MatrixCategory, "hat_comp_witness_kernel", untransposed)
 
 
+def pre_compose_column_major(patch):
+    """The pre_compose kernel flattens B @ F column-major into b."""
+    kernel = MatrixCategory.pre_compose_kernel
+
+    def column_major(self, tr, f):
+        b = kernel(self, tr, f)
+        product = b.payload.reshape(dim(tr.z), dim(f.source))
+        return dataclasses.replace(b, payload=product.transpose().reshape(1, b.payload.cols))
+
+    patch(MatrixCategory, "pre_compose_kernel", column_major)
+
+
+def post_compose_column_major(patch):
+    """The post_compose kernel flattens F @ T column-major into t."""
+    kernel = MatrixCategory.post_compose_kernel
+
+    def column_major(self, f, tr):
+        t = kernel(self, f, tr)
+        product = t.payload.reshape(dim(f.target), dim(tr.z))
+        return dataclasses.replace(t, payload=product.transpose().reshape(t.payload.rows, 1))
+
+    patch(MatrixCategory, "post_compose_kernel", column_major)
+
+
 def chain_length_longest_piece(patch):
     """rbord1 gives a glued chain the length of its longest piece, not the sum."""
     def chains(arcs, glue, ends=()):
@@ -155,6 +179,10 @@ KILLS = {
                                    "add_triples kernel differs from the whiskered composite"),
     hat_witness_untransposed: ("kernel.oracle.finvect",
                                "hat_comp_witness kernel differs from the whiskered composite"),
+    pre_compose_column_major: ("kernel.oracle.finvect",
+                               "pre_compose kernel differs from the whiskered composite"),
+    post_compose_column_major: ("kernel.oracle.finvect",
+                                "post_compose kernel differs from the whiskered composite"),
     chain_length_longest_piece: ("bord.glue", "glue_trace != tr_hat . cut_thickener"),
     closed_chains_dropped: ("sec2.partition", "partition value 1 != pairing -8192"),
 }

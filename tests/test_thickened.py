@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from traced import (
@@ -18,6 +20,7 @@ from traced import (
     trace_pairing,
     zero_triple,
 )
+from traced import thickened
 from traced.errors import CapabilityMissing, DomainMismatch, NotEndo
 from traced.gens import gen_endo_pair, gen_matrix_mor, gen_object, gen_triple, trial_stream
 from traced.matrices import RatMatrix
@@ -29,6 +32,7 @@ from traced.thickened import (
     pre_compose_composite,
     psi_composite,
 )
+from traced.vect import MatrixCategory
 
 fv = get_instance("finvect")
 sv = get_instance("supervect")
@@ -317,24 +321,24 @@ def test_canonical_thickener_at_the_zero_object(inst):
 
 
 def assert_kernels_match_reference(inst, tri, rng):
-    """Every contraction kernel equals its reference composite, with
-    f: W -> dom and g: cod -> V drawn at random: psi, pre_compose and
-    post_compose on tri; canonical_thickener on f; add_triples of tri with
-    itself and with the canonical thickener of psi(tri); and
-    hat_comp_witness of tri and the canonical thickener of f."""
+    """Every contraction kernel returns the component its reference
+    composite returns, with f: W -> dom and g: cod -> V drawn at random: psi,
+    pre_compose and post_compose on tri; canonical_thickener on f;
+    add_triples of tri with itself and with the canonical thickener of
+    psi(tri); and hat_comp_witness of tri and the canonical thickener of f."""
     assert inst.mor_equal(psi(tri), psi_composite(tri))
     w = gen_object(inst, rng, 3, 2)
     f = gen_matrix_mor(inst, w, tri.dom, rng)
-    assert pre_compose(tri, f) == pre_compose_composite(tri, f)
+    assert pre_compose(tri, f).b == pre_compose_composite(tri, f)
     v = gen_object(inst, rng, 3, 2)
     g = gen_matrix_mor(inst, tri.cod, v, rng)
-    assert post_compose(g, tri) == post_compose_composite(g, tri)
+    assert post_compose(g, tri).t == post_compose_composite(g, tri)
     f_hat = canonical_thickener(f)
-    assert f_hat == canonical_thickener_composite(f)
+    assert f_hat.t == canonical_thickener_composite(f, f_hat.z)
     summand = canonical_thickener(psi(tri))
     for other in (tri, summand):
         assert add_triples(tri, other) == add_triples_composite(tri, other)
-    assert hat_comp_witness(tri, f_hat) == hat_comp_witness_composite(tri, f_hat)
+    assert hat_comp_witness(tri, f_hat).g == hat_comp_witness_composite(tri, f_hat)
 
 
 def random_triple(inst, x, y, z, rng):
@@ -389,8 +393,14 @@ def test_kernels_graded_mixed_degrees():
 
 
 def test_bordism_instance_has_no_kernel():
+    """rbord1 has no kernel, so it takes the composites; every matrix
+    instance has all six, each with the parameters of its composite."""
     rb = get_instance("rbord1")
-    for name in ("psi_kernel", "pre_compose_kernel", "post_compose_kernel",
-                 "hat_comp_witness_kernel", "add_triples_kernel", "canonical_thickener_kernel"):
+    for op in ("psi", "pre_compose", "post_compose", "hat_comp_witness", "add_triples",
+               "canonical_thickener"):
+        name = f"{op}_kernel"
         assert not hasattr(rb, name)
         assert all(hasattr(inst, name) for inst in MATRIX)
+        kernel = list(inspect.signature(getattr(MatrixCategory, name)).parameters)
+        composite = inspect.signature(getattr(thickened, f"{op}_composite")).parameters
+        assert kernel[0] == "self" and kernel[1:] == list(composite), op
