@@ -3,7 +3,7 @@
     traced check [--suite ID|all] [--seed N] [--trials N] [--q R]
                  [--format text|json] [--replay FILE] [--list]
     traced eval FILE.diag
-    traced demo partition --matrix FILE --length N [--float]
+    traced demo partition --matrix FILE --length N
 
 Exit codes: `check` is nonzero iff any suite fails; `eval` exits 1 iff an
 assertion fails; `check --replay` is nonzero iff some stored counterexample
@@ -28,7 +28,7 @@ from importlib import resources
 
 from .errors import TracedError
 from .graded import GradedVect
-from .suites import REGISTRY, SuiteConfig, replay_entry, run_suite, select_suites
+from .suites import REGISTRY, SuiteConfig, run_suite, run_trial, select_suites
 from ._rat import parse_rat, rat_str
 
 
@@ -49,17 +49,22 @@ _BAD_DATA = (TracedError, KeyError, TypeError, ValueError, AttributeError, Index
 
 def _replay_entries(path: str) -> list:
     """(suite id, serialized inputs) of every counterexample stored in a
-    report file, or of the one entry in a {"suite", "inputs"} file."""
+    report file, or of the one entry in a {"suite", "inputs"} file, such as
+    the pinned counterexamples shipped in the package data."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("replay file must hold a JSON object")
     if "suites" in doc:
-        return [(s["id"], s["counterexample"]["inputs"])
-                for s in doc["suites"] if s.get("counterexample")]
-    if "suite" in doc:
-        return [(doc["suite"], doc["inputs"])]
-    raise ValueError("replay file has neither a report nor a single counterexample")
+        entries = [(s["id"], s["counterexample"]["inputs"])
+                   for s in doc["suites"] if s.get("counterexample")]
+    elif "suite" in doc:
+        entries = [(doc["suite"], doc["inputs"])]
+    else:
+        raise ValueError("replay file has neither a report nor a single counterexample")
+    if not all(isinstance(inputs, dict) for _sid, inputs in entries):
+        raise ValueError("stored inputs must be a JSON object")  # an int is a trial index
+    return entries
 
 
 def cmd_check(args) -> int:
@@ -71,7 +76,7 @@ def cmd_check(args) -> int:
 
     if args.replay:
         try:
-            results = [(sid, *replay_entry(sid, inputs))
+            results = [(sid, *run_trial(REGISTRY[sid], None, inputs)[1])
                        for sid, inputs in _replay_entries(args.replay)]
         except (OSError, *_BAD_DATA) as exc:
             print(f"cannot replay {args.replay}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -79,10 +84,10 @@ def cmd_check(args) -> int:
         if not results:
             print("nothing to replay: no stored counterexamples in the file")
             return 0
-        for sid, reproduced, detail in results:
-            status = "reproduced" if reproduced else "NOT reproduced"
-            print(f"{sid}: {status}" + (f" ({detail})" if detail and reproduced else ""))
-        return 0 if all(reproduced for _sid, reproduced, _detail in results) else 1
+        for sid, holds, detail in results:
+            status = "NOT reproduced" if holds else "reproduced"
+            print(f"{sid}: {status}" + (f" ({detail})" if detail and not holds else ""))
+        return 1 if any(holds for _sid, holds, _detail in results) else 0
 
     try:
         q = parse_rat(args.q)
@@ -212,12 +217,6 @@ def cmd_demo_partition(args) -> int:
     print(f"closed circle of total length {n}")
     print(f"  evaluation of the glued bordism : {rat_str(lhs)}")
     print(f"  trace pairing of the two pieces : {rat_str(rhs)}")
-    if args.float_mode:
-        from .field_theory import float_circle_value
-
-        h = [[float(v) for v in row] for row in e.a.to_rows()]
-        approx = float_circle_value(h, float(n))
-        print(f"  float mode (exp(-t*H) circle)  : {approx:.9f}  [demo only]")
     if lhs != rhs:
         print("MISMATCH: the partition identity failed", file=sys.stderr)
         return 1
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--q", default="2", help="braiding parameter of the graded instance")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--replay", metavar="FILE",
-                       help="re-run stored counterexamples from a report file")
+                       help="re-run stored counterexamples from a report or pinned file")
     check.add_argument("--list", action="store_true", help="list available suites")
     check.set_defaults(func=cmd_check)
 
@@ -255,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="closed-circle evaluation vs trace pairing")
     part.add_argument("--matrix", required=True, help="JSON file with matrix rows")
     part.add_argument("--length", type=int, required=True)
-    part.add_argument("--float", dest="float_mode", action="store_true",
-                      help="also show the float exp(-tH) value (demo only)")
     part.set_defaults(func=cmd_demo_partition)
 
     return parser

@@ -15,14 +15,9 @@ isometry leaves behind, contributes A^0 = I.  Arcs must join an in-point
 to an out-point: a cap or cup traversal would need A to equal its own
 transpose, so evaluation on such bordisms is refused rather than silently
 wrong.
-
-A float mode (interval of length t |-> exp(-t*H)) is provided for demos
-only; every verification suite uses the exact integer mode.
 """
 
 from __future__ import annotations
-
-import math
 
 from .bordism import IN, OUT, Iso
 from .core import Morphism, get_instance
@@ -59,7 +54,7 @@ class FieldTheory:
     @staticmethod
     def _int_length(length):
         if length.denominator != 1 or length <= 0:
-            raise NonIntegerLength(f"exact mode needs positive integer lengths, got {length}")
+            raise NonIntegerLength(f"evaluation needs positive integer lengths, got {length}")
         return int(length.numerator)
 
     def __call__(self, f: Morphism) -> Morphism:
@@ -129,34 +124,3 @@ def _undigits(digits, base: int) -> int:
         value = value * base + dgt
     return value
 
-
-# -- float demo mode ----------------------------------------------------------
-
-
-def expm_neg(h, t: float):
-    """exp(-t*h) for a small dense float matrix h (list of rows), by scaling
-    and squaring of the Taylor series; demo accuracy only."""
-    n = len(h)
-    m = [[-t * h[i][j] for j in range(n)] for i in range(n)]
-    norm = max(sum(abs(v) for v in row) for row in m) if n else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1 else 0
-    scale = 2.0 ** squarings
-    m = [[v / scale for v in row] for row in m]
-
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-    result = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    term = [row[:] for row in result]
-    for k in range(1, 24):
-        term = matmul(term, m)
-        term = [[v / k for v in row] for row in term]
-        result = [[result[i][j] + term[i][j] for j in range(n)] for i in range(n)]
-    for _ in range(squarings):
-        result = matmul(result, result)
-    return result
-
-
-def float_circle_value(h, t: float) -> float:
-    e = expm_neg(h, t)
-    return sum(e[i][i] for i in range(len(e)))

@@ -1,13 +1,12 @@
 """Theorem-indexed property suites and the machine-readable report.
 
 Every suite draws each trial from an independent PRNG stream derived from
-(seed, suite id, trial index), so identical configs give identical reports
-and parallel execution cannot change results.  All comparisons are exact;
-there are no tolerances anywhere.
+(seed, suite id, trial index), so identical configs give identical reports.
+All comparisons are exact; there are no tolerances anywhere.
 
 Negative-control suites invert pass semantics: they PASS when a
-counterexample is found within the trial budget, and record it.  Pinned
-regression inputs shipped with the package are re-checked first.
+counterexample is found within the trial budget, and record it.  The
+counterexample pinned in a package-data file must also still violate.
 
 Suites come in families: one property, checked on each of a list of
 instances.  A family is its claims, a generator `claims(inst, inputs)`
@@ -19,6 +18,7 @@ strings.  `encode` stores them as the morphisms, rationals and strings that
 its t, b and the identity of its Z under three keys.  The claims read the
 stored inputs back through an `Inputs` reader and yield (holds, detail)
 pairs in order; a trial fails on the first pair that does not hold.
+`run_trial` gives that verdict for every trial: drawn, pinned or replayed.
 """
 
 from __future__ import annotations
@@ -957,26 +957,33 @@ def _registry() -> dict:
 REGISTRY = _registry()
 
 
+def run_trial(suite: Suite, cfg: SuiteConfig | None, source):
+    """(inputs, (holds, detail)) of one trial of `suite`.  `source` is a trial
+    index, drawn by `data_gen` or else by `gen` on the trial's stream, or the
+    serialized inputs of a pinned file or a replay entry (cfg may be None)."""
+    if not isinstance(source, int):
+        inputs = serde.load_inputs(source)
+    elif suite.data_gen is not None:
+        inputs = suite.data_gen(cfg, source)
+    else:
+        inputs = suite.gen(cfg, trial_stream(cfg.seed, suite.suite_id, source))
+    return inputs, suite.check(inputs)
+
+
 def run_one(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
-    """Run the trials of `suite`.  A trial's inputs come from `data_gen`
-    when the suite has one, else from `gen` on the trial's own stream.
-    Pinned inputs are checked first and do not count as trials."""
+    """Run the trials of `suite` through `run_trial`.  Pinned inputs are
+    checked first and do not count as trials."""
     start = time.perf_counter()
-    pinned_ok = True
+    pinned_held = False  # the pinned counterexample must still violate
     if suite.pinned is not None:
         text = resources.files("traced").joinpath(f"data/{suite.pinned}").read_text()
-        ok, _detail = suite.check(serde.load_inputs(json.loads(text)["inputs"]))
-        pinned_ok = not ok  # the stored counterexample must still violate
+        _inputs, (pinned_held, _detail) = run_trial(suite, cfg, json.loads(text)["inputs"])
 
     trials = cfg.trials if suite.data_gen is None else suite.data_trials(cfg)
     violations = 0
     counterexample = None
     for trial in range(trials):
-        if suite.data_gen is None:
-            inputs = suite.gen(cfg, trial_stream(cfg.seed, suite.suite_id, trial))
-        else:
-            inputs = suite.data_gen(cfg, trial)
-        ok, detail = suite.check(inputs)
+        inputs, (ok, detail) = run_trial(suite, cfg, trial)
         if not ok:
             violations += 1
             if counterexample is None:
@@ -984,7 +991,7 @@ def run_one(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
                                   "inputs": serde.dump_inputs(inputs)}
 
     if suite.expect_counterexample:
-        passed = violations >= 1 and pinned_ok
+        passed = violations >= 1 and not pinned_held
         failures, found = (0 if passed else 1), violations
     else:
         passed, failures, found = violations == 0, violations, 0
@@ -1014,10 +1021,3 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     results = [run_one(s, cfg) for s in select_suites(cfg)]
     return SuiteReport(config=cfg, results=results)
 
-
-def replay_entry(suite_id: str, inputs_data: dict):
-    """Re-run one stored counterexample; returns (reproduced, detail)."""
-    suite = REGISTRY[suite_id]
-    inputs = serde.load_inputs(inputs_data)
-    ok, detail = suite.check(inputs)
-    return (not ok), detail

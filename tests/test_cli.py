@@ -217,10 +217,9 @@ def test_demo_partition(tmp_path, capsys):
     diag = tmp_path / "d.json"
     diag.write_text("[[2, 0], [0, 3]]")
     code, out, _ = run_cli(capsys, "demo", "partition", "--matrix", str(diag),
-                           "--length", "2", "--float")
+                           "--length", "2")
     assert code == 0
     assert "13" in out
-    assert "float mode" in out
 
 
 def test_demo_partition_swap_matrix(tmp_path, capsys):
@@ -336,6 +335,9 @@ def test_check_rejects_non_integer_traced_seed(capsys, monkeypatch):
     ' "z": {}, "t": {}, "b": {}}}}',
     '{"suite": "whtr.1.finvect", "inputs": {"t": {"kind": "int", "value": 1}}}',
     '{"neither": 1}',
+    # stored inputs that are not an object, such as a corpus trial index
+    '{"suite": "dsl.corpus", "inputs": 5}',
+    '{"suites": [{"id": "dsl.corpus", "counterexample": {"inputs": [0]}}]}',
     *(pytest.param(json.dumps({"suite": sid, "inputs": {}}), id=f"no-inputs-{sid}")
       for sid in REGISTRY),
 ])
@@ -347,8 +349,19 @@ def test_replay_rejects_bad_files(tmp_path, capsys, content):
 
 
 DATA = CORPUS.parent
-PINNED = {"crossing_counterexample.json": "graded.crossing-regression",
-          "twistless_counterexample.json": "balanced.twistless-control"}
+PINNED = {suite.pinned: sid for sid, suite in REGISTRY.items() if suite.pinned}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_files_replay_through_the_cli(capsys, name):
+    """Each pinned counterexample file is a {"suite", "inputs"} entry that
+    names the suite pinning it, and `--replay` reproduces it as it is."""
+    assert json.loads((DATA / name).read_text())["suite"] == PINNED[name]
+    code, out, err = run_cli(capsys, "check", "--replay", str(DATA / name))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{PINNED[name]}: reproduced (")
+
+
 # What a mutation puts in place of a value: other kinds, small numbers,
 # bad rationals and other instance ids.  Numbers stay small, so that no
 # mutant asks for an unbounded allocation.

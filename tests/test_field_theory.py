@@ -3,7 +3,6 @@ import pytest
 from traced import canonical_thickener, field_theory, get_instance, rat, trace_pairing
 from traced.bordism import IN, OUT
 from traced.errors import DirectedBordismRequired, DomainMismatch, NonIntegerLength
-from traced.field_theory import float_circle_value
 from traced.gens import gen_bordism, gen_point_set, trial_stream
 from traced.matrices import RatMatrix
 
@@ -134,13 +133,3 @@ def test_circles_inside_bordisms_multiply():
     m = e(seg)
     # the free circle scales the whole operator by classtr(A^2) = 13
     assert m.payload == RatMatrix.from_rows([[26, 0], [0, 39]])
-
-
-def test_float_mode_tracks_exact_values():
-    # H with exp(-tH) having trace e^{-t} + e^{-2t}
-    import math
-
-    h = [[1.0, 0.0], [0.0, 2.0]]
-    got = float_circle_value(h, 1.5)
-    want = math.exp(-1.5) + math.exp(-3.0)
-    assert abs(got - want) < 1e-9

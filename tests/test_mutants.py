@@ -9,6 +9,8 @@ claim; these kills can.  Each test runs one suite at 40 trials, seed 42.
 
 import dataclasses
 import importlib
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -209,3 +211,25 @@ def test_dual_trace_graded_sees_tr_hat_braids(monkeypatch):
     whtr.3.graded alone saw this mutant before."""
     assert_killed(monkeypatch, tr_hat_braids, "dual.trace.graded",
                   "categorical 1/6 != classical trace 1/3")
+
+
+def load_tool():
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutants_tool_refuses_no_trials_and_reports_a_kill(capsys):
+    """With no trials every mutant would survive, which reads like a real
+    survivor's exit 1, so `--trials 0` is refused with exit 2."""
+    tool = load_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--trials", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert tool.main(["--trials", "5", "koszul_sign_dropped"]) == 0
+    row = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("| `koszul_sign_dropped` |")]
+    assert len(row) == 1 and "`dual.trace.supervect`" in row[0]

@@ -1,12 +1,11 @@
 import hashlib
 import json
 import pathlib
-import re
+from importlib import resources
 
 import pytest
 
-from traced.gens import trial_stream
-from traced.suites import REGISTRY, SuiteConfig, run_one, run_suite, replay_entry
+from traced.suites import REGISTRY, SuiteConfig, run_one, run_suite, run_trial
 from traced import serde
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "traceability.md"
@@ -57,33 +56,24 @@ def test_trial_streams_are_independent_of_order():
 
 
 def test_failure_serialization_roundtrip():
-    """A synthetic failing check must serialize a replayable counterexample."""
+    """A drawn trial's inputs serialize, and replaying them gives the drawn
+    verdict: a passing input replays as passing."""
     suite = REGISTRY["dual.trace.finvect"]
-    cfg = SuiteConfig(seed=2, trials=3)
-    from traced.gens import trial_stream
-
-    inputs = suite.gen(cfg, trial_stream(cfg.seed, suite.suite_id, 0))
-    blob = serde.dump_inputs(inputs)
-    restored = serde.load_inputs(blob)
-    ok, _ = suite.check(restored)
+    inputs, (ok, _) = run_trial(suite, SuiteConfig(seed=2, trials=3), 0)
     assert ok
-    # replay_entry reports reproduction of failures, so a passing input is
-    # "not reproduced"
-    reproduced, _ = replay_entry(suite.suite_id, blob)
-    assert not reproduced
+    assert run_trial(suite, None, serde.dump_inputs(inputs))[1] == (True, "")
+
+
+PINNED = {suite.pinned: sid for sid, suite in REGISTRY.items() if suite.pinned}
 
 
 def test_replay_pinned_counterexamples():
-    import json
-    from importlib import resources
-
-    for name, sid in (
-        ("crossing_counterexample.json", "graded.crossing-regression"),
-        ("twistless_counterexample.json", "balanced.twistless-control"),
-    ):
+    assert sorted(PINNED) == ["crossing_counterexample.json", "twistless_counterexample.json"]
+    for name, sid in PINNED.items():
         data = json.loads(resources.files("traced").joinpath(f"data/{name}").read_text())
-        reproduced, detail = replay_entry(sid, data["inputs"])
-        assert reproduced, f"pinned regression for {sid} no longer violates"
+        assert data["suite"] == sid
+        _inputs, (holds, _detail) = run_trial(REGISTRY[sid], None, data["inputs"])
+        assert not holds, f"pinned regression for {sid} no longer violates"
 
 
 def test_negative_control_finds_nothing():
@@ -102,9 +92,9 @@ def test_twistless_control_finds_counterexamples():
     assert res.counterexamples_found > 0
     assert res.passed
     assert res.counterexample is not None
-    # and the recorded counterexample replays
-    reproduced, _ = replay_entry(res.suite_id, res.counterexample["inputs"])
-    assert reproduced
+    # and the recorded counterexample replays with the recorded detail
+    _inputs, verdict = run_trial(REGISTRY[res.suite_id], None, res.counterexample["inputs"])
+    assert verdict == (False, res.counterexample["detail"])
 
 
 def test_corpus_suite_counts_files():
@@ -172,10 +162,7 @@ def test_generated_inputs_are_pinned():
     rows = []
     for sid, suite in REGISTRY.items():
         for trial in range(5):
-            if suite.data_gen is not None:
-                inputs = suite.data_gen(cfg, trial)
-            else:
-                inputs = suite.gen(cfg, trial_stream(cfg.seed, sid, trial))
+            inputs, _verdict = run_trial(suite, cfg, trial)
             rows.append([sid, trial, serde.dump_inputs(inputs)])
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_INPUTS_SHA256
@@ -189,13 +176,22 @@ def test_every_generated_input_round_trips_through_serde():
     kinds = set()
     for sid, suite in REGISTRY.items():
         for trial in range(5):
-            if suite.data_gen is not None:
-                inputs = suite.data_gen(cfg, trial)
-            else:
-                inputs = suite.gen(cfg, trial_stream(cfg.seed, sid, trial))
+            inputs, _verdict = run_trial(suite, cfg, trial)
             blob = serde.dump_inputs(inputs)
             kinds |= {value["kind"] for value in blob.values()}
             assert serde.dump_inputs(serde.load_inputs(blob)) == blob, (sid, trial)
     assert kinds == {"matrix-mor", "iso-mor", "bord-mor", "rat", "str"}
     with pytest.raises(TypeError):
         serde.dump_value(True)
+
+
+def test_replayed_inputs_give_the_drawn_verdict():
+    """Trials 0-2 of every suite, run again from their serialized inputs,
+    give the same (holds, detail) as the drawn trial: the contract that
+    `traced check --replay` depends on."""
+    cfg = SuiteConfig(seed=7, q="3/2")
+    for sid, suite in REGISTRY.items():
+        for trial in range(3):
+            inputs, verdict = run_trial(suite, cfg, trial)
+            replayed = run_trial(suite, None, serde.dump_inputs(inputs))[1]
+            assert replayed == verdict, (sid, trial)

@@ -15,7 +15,8 @@ whose check raises is listed as a crash, not as a kill.
 
 Prints one markdown row per mutant: the suites that kill it, with their
 failed trials (or counterexamples found), and the suites that crashed.  Exits
-1 if some mutant is killed by no property suite other than `dsl.corpus`.
+1 if some mutant is killed by no property suite other than `dsl.corpus`, and
+2 on unusable arguments (an unknown mutant, a `--trials` below 1).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("mutants", nargs="*", help="names of mutants to run (default: all)")
     args = ap.parse_args(argv)
+    if args.trials < 1:  # with no trials every mutant would survive
+        ap.error(f"--trials {args.trials}: must be at least 1")
     catalogue = load_catalogue()
     unknown = [name for name in args.mutants if name not in catalogue]
     if unknown:
