@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import pathlib
 import random
 import re
@@ -311,3 +314,25 @@ def test_token_mutants_evaluate_or_raise_traced_error():
             outcomes.add(type(exc).__name__)
     # the mutants reach every stage, not only the parser
     assert {"evaluated", "LexError", "ParseError", "TypecheckError"} <= outcomes
+
+
+# sha256 of the outcome of every mutant of token_mutants(seed=7, per_program=40)
+TOKEN_MUTANT_OUTCOMES_SHA256 = "fb0af067e99b04c02be9bab8e68dab2f85349bb9c313831d86d248351b170a8d"
+
+
+def test_token_mutant_outcomes_are_pinned():
+    """Each mutant's outcome, the error type with its positioned message or
+    the rendered print and assert results, hashes to a constant.  The other
+    tests check a few messages by hand; this catches a change to the text or
+    position of any diagnostic the mutants reach."""
+    rows = []
+    for text in token_mutants(seed=7, per_program=40):
+        try:
+            report = run_text(text)
+        except TracedError as exc:
+            rows.append([type(exc).__name__, str(exc)])
+        else:
+            rows.append([[type(r).__name__, *dataclasses.astuple(r)] for r in report.results])
+    assert len(rows) == 2000
+    text = json.dumps(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOKEN_MUTANT_OUTCOMES_SHA256
