@@ -1,4 +1,9 @@
-"""AST for the diagram language.
+"""AST for the diagram language, one node class per syntactic category.
+
+A builtin form `name(args)` such as `id(X)`, `dual(X)`, `cut(f, 1/2)` or
+`print(f)` is a `Form` (term), `ObjForm` (object), `TripleForm` (triple) or
+`Command` (item) holding its name and its arguments in written order;
+`parser.FORMS` is the one record of which forms exist and what they take.
 
 Every node carries the source span of its first token (line, col) so the
 type checker can point at the offending text.  Terms read in diagrammatic
@@ -42,12 +47,6 @@ class ObjInt(ObjExpr):
 
 
 @dataclass(frozen=True)
-class ObjSuper(ObjExpr):
-    even: int = 0
-    odd: int = 0
-
-
-@dataclass(frozen=True)
 class ObjGraded(ObjExpr):
     entries: tuple = ()  # ((degree, dim), ...) in written order
 
@@ -58,8 +57,9 @@ class ObjPts(ObjExpr):
 
 
 @dataclass(frozen=True)
-class ObjDual(ObjExpr):
-    inner: Optional[ObjExpr] = None
+class ObjForm(ObjExpr):
+    name: str = ""
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,9 @@ class Gen(Term):
 
 
 @dataclass(frozen=True)
-class Id(Term):
-    obj: Optional[ObjExpr] = None
+class Form(Term):
+    name: str = ""
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -127,44 +128,6 @@ class Compose(Term):
 class Tensor(Term):
     left: Optional[Term] = None
     right: Optional[Term] = None
-
-
-@dataclass(frozen=True)
-class S(Term):
-    x: Optional[ObjExpr] = None
-    y: Optional[ObjExpr] = None
-
-
-@dataclass(frozen=True)
-class C(Term):
-    x: Optional[ObjExpr] = None
-    y: Optional[ObjExpr] = None
-
-
-@dataclass(frozen=True)
-class Theta(Term):
-    obj: Optional[ObjExpr] = None
-
-
-@dataclass(frozen=True)
-class Ev(Term):
-    obj: Optional[ObjExpr] = None
-
-
-@dataclass(frozen=True)
-class Coev(Term):
-    obj: Optional[ObjExpr] = None
-
-
-@dataclass(frozen=True)
-class TraceHat(Term):
-    triple: object = None
-
-
-@dataclass(frozen=True)
-class Pairing(Term):
-    f: Optional[Term] = None
-    g: Optional[Term] = None
 
 
 @dataclass(frozen=True)
@@ -188,14 +151,9 @@ class TripleName(TripleExpr):
 
 
 @dataclass(frozen=True)
-class Cut(TripleExpr):
-    term: Optional[Term] = None
-    fraction: str = ""
-
-
-@dataclass(frozen=True)
-class Thicken(TripleExpr):
-    term: Optional[Term] = None
+class TripleForm(TripleExpr):
+    name: str = ""
+    args: tuple = ()
 
 
 # -- program structure ---------------------------------------------------------------
@@ -225,16 +183,10 @@ class TripleDecl:
 
 
 @dataclass(frozen=True)
-class PrintCmd:
+class Command:
     span: Span
-    term: Term
-
-
-@dataclass(frozen=True)
-class AssertCmd:
-    span: Span
-    left: Term
-    right: Term
+    name: str
+    args: tuple
 
 
 @dataclass(frozen=True)

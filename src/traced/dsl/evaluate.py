@@ -67,9 +67,9 @@ def evaluate(tp: TypedProgram) -> EvalReport:
     results = []
     for item, step in tp.steps:
         value = step()
-        if isinstance(item, ast.PrintCmd):
+        if isinstance(item, ast.Command) and item.name == "print":
             results.append(PrintResult(item.span.line, render_value(inst, value)))
-        elif isinstance(item, ast.AssertCmd):
+        elif isinstance(item, ast.Command):  # assert_equal
             left, right = value
             results.append(AssertResult(item.span.line, inst.mor_equal(left, right),
                                         render_value(inst, left), render_value(inst, right)))

@@ -4,14 +4,15 @@
     item    := "obj" NAME "=" objexpr
              | "mor" NAME ":" objexpr "->" objexpr "=" morlit
              | "triple" NAME "=" tripleexpr
-             | "print" "(" term ")"
-             | "assert_equal" "(" term "," term ")"
+             | command                 a Command in FORMS: print, assert_equal
     term    := tens (";" tens)*        ";" is diagrammatic (left runs first)
     tens    := atom ("*" atom)*        "*" binds tighter than ";"
 
-`#` starts a line comment.  Numbers are unsigned rationals INT[/INT] in
-ASCII digits with a nonzero denominator; a leading "-" is parsed where
-signed values are legal (matrix entries, graded degrees).
+Items are declarations or commands.  Every builtin form, a command or a
+term, object or triple form, is `name "(" arg {"," arg} ")"` read from its
+FORMS entry.  `#` starts a line comment.  Numbers are unsigned rationals
+INT[/INT] in ASCII digits with a nonzero denominator; a leading "-" is
+parsed where signed values are legal (matrix entries, graded degrees).
 """
 
 from __future__ import annotations
@@ -34,27 +35,29 @@ _PIECE = re.compile(rf"""
   | .
 """, re.VERBOSE)
 
-# name -> (AST node, ((field, argument kind), ...)).  A kind names the Parser
-# method that reads the argument; the node's base class says where the form
-# may appear (term, object or triple).  `pretty` prints from the same table.
+# name -> (AST node, ((role, argument kind), ...)), the one record of the
+# builtin forms.  The node class says where a form may appear (item, term,
+# object or triple); a kind names the Parser method that reads an argument,
+# in the order the node keeps.  `pretty` prints from the same table.
 FORMS = {
-    "id": (ast.Id, (("obj", "objexpr"),)),
-    "s": (ast.S, (("x", "objexpr"), ("y", "objexpr"))),
-    "c": (ast.C, (("x", "objexpr"), ("y", "objexpr"))),
-    "theta": (ast.Theta, (("obj", "objexpr"),)),
-    "ev": (ast.Ev, (("obj", "objexpr"),)),
-    "coev": (ast.Coev, (("obj", "objexpr"),)),
-    "trace_hat": (ast.TraceHat, (("triple", "tripleexpr"),)),
-    "pairing": (ast.Pairing, (("f", "term"), ("g", "term"))),
-    "cut": (ast.Cut, (("term", "term"), ("fraction", "rational"))),
-    "thicken": (ast.Thicken, (("term", "term"),)),
-    "dual": (ast.ObjDual, (("inner", "objexpr"),)),
-    "super": (ast.ObjSuper, (("even", "unsigned_int"), ("odd", "unsigned_int"))),
+    "print": (ast.Command, (("term", "term"),)),
+    "assert_equal": (ast.Command, (("left", "term"), ("right", "term"))),
+    "id": (ast.Form, (("obj", "objexpr"),)),
+    "s": (ast.Form, (("x", "objexpr"), ("y", "objexpr"))),
+    "c": (ast.Form, (("x", "objexpr"), ("y", "objexpr"))),
+    "theta": (ast.Form, (("obj", "objexpr"),)),
+    "ev": (ast.Form, (("obj", "objexpr"),)),
+    "coev": (ast.Form, (("obj", "objexpr"),)),
+    "trace_hat": (ast.Form, (("triple", "tripleexpr"),)),
+    "pairing": (ast.Form, (("f", "term"), ("g", "term"))),
+    "cut": (ast.TripleForm, (("term", "term"), ("fraction", "rational"))),
+    "thicken": (ast.TripleForm, (("term", "term"),)),
+    "dual": (ast.ObjForm, (("inner", "objexpr"),)),
+    "super": (ast.ObjForm, (("even", "unsigned_int"), ("odd", "unsigned_int"))),
 }
 
-# item keyword -> the Parser method that reads the item
-_ITEMS = {"obj": "obj_decl", "mor": "mor_decl", "triple": "triple_decl",
-          "print": "print_cmd", "assert_equal": "assert_cmd"}
+# declaration keyword -> the Parser method that reads the declaration
+_DECLS = {"obj": "obj_decl", "mor": "mor_decl", "triple": "triple_decl"}
 
 
 class Token:
@@ -180,18 +183,18 @@ class Parser:
         """The builtin form `name "(" arg {"," arg} ")"` at the next token, or
         None when the token names no form that builds a `base` node."""
         t = self.peek()
-        node, fields = FORMS.get(t.text, (None, ()))
+        node, roles = FORMS.get(t.text, (None, ()))
         if node is None or not issubclass(node, base):
             return None
         self.advance()
         self.expect("(")
-        args = {}
-        for i, (field, kind) in enumerate(fields):
+        args = []
+        for i, (_role, kind) in enumerate(roles):
             if i:
                 self.expect(",")
-            args[field] = getattr(self, kind)()
+            args.append(getattr(self, kind)())
         self.expect(")")
-        return node(span=t.span, **args)
+        return node(t.span, t.text, tuple(args))
 
     # -- grammar -----------------------------------------------------------
 
@@ -219,10 +222,11 @@ class Parser:
 
     def item(self):
         t = self.peek()
-        method = _ITEMS.get(t.text)
-        if method is None:
-            raise ParseError(f"expected a declaration or command, found {t.text!r}", t.line, t.col)
-        return getattr(self, method)()
+        if t.text in _DECLS:
+            return getattr(self, _DECLS[t.text])()
+        if (command := self.form(ast.Command)) is not None:
+            return command
+        raise ParseError(f"expected a declaration or command, found {t.text!r}", t.line, t.col)
 
     def obj_decl(self) -> ast.ObjDecl:
         kw = self.expect("obj")
@@ -245,22 +249,6 @@ class Parser:
         name = self.label()
         self.expect("=")
         return ast.TripleDecl(span=kw.span, name=name, expr=self.tripleexpr())
-
-    def print_cmd(self) -> ast.PrintCmd:
-        kw = self.expect("print")
-        self.expect("(")
-        term = self.term()
-        self.expect(")")
-        return ast.PrintCmd(span=kw.span, term=term)
-
-    def assert_cmd(self) -> ast.AssertCmd:
-        kw = self.expect("assert_equal")
-        self.expect("(")
-        left = self.term()
-        self.expect(",")
-        right = self.term()
-        self.expect(")")
-        return ast.AssertCmd(span=kw.span, left=left, right=right)
 
     # -- object expressions ---------------------------------------------------
 

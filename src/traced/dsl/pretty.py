@@ -6,9 +6,6 @@ from __future__ import annotations
 from . import ast
 from .parser import FORMS
 
-# AST node -> (name, ((field, argument kind), ...)), the inverse of FORMS
-_FORM_OF = {node: (name, fields) for name, (node, fields) in FORMS.items()}
-
 
 def pretty(program: ast.Program) -> str:
     lines = [f"instance {program.instance_id}"]
@@ -24,20 +21,18 @@ def _item(item) -> str:
         return f"mor {item.name} : {_obj(item.src)} -> {_obj(item.tgt)} = {_lit(item.literal)}"
     if isinstance(item, ast.TripleDecl):
         return f"triple {item.name} = {_triple(item.expr)}"
-    if isinstance(item, ast.PrintCmd):
-        return f"print({_term(item.term)})"
-    if isinstance(item, ast.AssertCmd):
-        return f"assert_equal({_term(item.left)}, {_term(item.right)})"
+    if isinstance(item, ast.Command):
+        return _form(item)
     raise AssertionError(f"unhandled item {item!r}")
 
 
 def _form(e) -> str:
-    name, fields = _FORM_OF[type(e)]
-    return f"{name}(" + ", ".join(_ARG[kind](getattr(e, f)) for f, kind in fields) + ")"
+    _node, roles = FORMS[e.name]
+    return f"{e.name}(" + ", ".join(_ARG[kind](a) for (_role, kind), a in zip(roles, e.args)) + ")"
 
 
 def _obj(e: ast.ObjExpr) -> str:
-    if type(e) in _FORM_OF:
+    if isinstance(e, ast.ObjForm):
         return _form(e)
     if isinstance(e, ast.ObjName):
         return e.name
@@ -105,7 +100,7 @@ def _tens_factor(t: ast.Term) -> str:
 
 
 def _atom(t: ast.Term) -> str:
-    if type(t) in _FORM_OF:
+    if isinstance(t, ast.Form):
         return _form(t)
     if isinstance(t, ast.Gen):
         return t.name
@@ -115,7 +110,7 @@ def _atom(t: ast.Term) -> str:
 
 
 def _triple(e: ast.TripleExpr) -> str:
-    if type(e) in _FORM_OF:
+    if isinstance(e, ast.TripleForm):
         return _form(e)
     if isinstance(e, ast.TripleName):
         return e.name

@@ -89,11 +89,11 @@ class Checker:
             bound = {}  # filled by the step, read by every use of the name
             self.triples[item.name] = (ty, lambda: bound["triple"])
             return lambda: bound.update(triple=triple())
-        elif isinstance(item, ast.PrintCmd):
-            return self.term(item.term)[1]
-        elif isinstance(item, ast.AssertCmd):
-            lt, left = self.term(item.left)
-            rt, right = self.term(item.right)
+        elif item.name == "print":  # the rest are commands
+            return self.term(item.args[0])[1]
+        elif item.name == "assert_equal":
+            lt, left = self.term(item.args[0])
+            rt, right = self.term(item.args[1])
             if lt != rt:
                 raise TypecheckError(
                     f"assert_equal compares a morphism {_fmt_obj(lt[0])} -> {_fmt_obj(lt[1])}"
@@ -122,10 +122,10 @@ class Checker:
             if iid != "finvect":
                 raise TypecheckError("bare dimensions are finvect objects only", e.span.line, e.span.col)
             return inst.space(e.dim)
-        if isinstance(e, ast.ObjSuper):
+        if isinstance(e, ast.ObjForm) and e.name == "super":
             if iid != "supervect":
                 raise TypecheckError("super(...) objects live in supervect", e.span.line, e.span.col)
-            return inst.space(e.even, e.odd)
+            return inst.space(*e.args)
         if isinstance(e, ast.ObjGraded):
             if not iid.startswith("graded"):
                 raise TypecheckError("graded{...} objects live in graded(q=...)", e.span.line, e.span.col)
@@ -142,8 +142,8 @@ class Checker:
                 return inst.points(e.labels)
             except TracedError as exc:
                 raise _at(exc, e.span)
-        if isinstance(e, ast.ObjDual):
-            inner = self.objexpr(e.inner)
+        if isinstance(e, ast.ObjForm) and e.name == "dual":
+            inner = self.objexpr(e.args[0])
             if not inst.has_dual(inner):
                 raise TypecheckError(f"instance {iid!r} has no duals", e.span.line, e.span.col)
             return inst.dual_obj(inner)
@@ -212,9 +212,6 @@ class Checker:
                 raise TypecheckError(f"unknown morphism {t.name!r}", t.span.line, t.span.col)
             m = self.morphisms[t.name]
             return (m.source, m.target), lambda: m
-        if isinstance(t, ast.Id):
-            x = self.objexpr(t.obj)
-            return (x, x), lambda: inst.identity(x)
         if isinstance(t, ast.Compose):
             bt, before = self.term(t.before)
             at, after = self.term(t.after)
@@ -230,36 +227,46 @@ class Checker:
             rt, right = self.term(t.right)
             ty = (inst.tensor_obj(lt[0], rt[0]), inst.tensor_obj(lt[1], rt[1]))
             return ty, lambda: inst.tensor(left(), right())
-        if isinstance(t, ast.S):
-            x, y = self.objexpr(t.x), self.objexpr(t.y)
-            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.switching(x, y)
-        if isinstance(t, ast.C):
-            if not inst.provides("braiding_c"):
+        if isinstance(t, ast.Paren):
+            return self.term(t.inner)
+        if isinstance(t, ast.Form):
+            return self.form(t)
+        raise TypecheckError(f"unhandled term {t!r}", t.span.line, t.span.col)
+
+    def form(self, t: ast.Form):
+        """The type rule of a builtin term form, chosen by its name."""
+        inst, name = self.inst, t.name
+        if name == "id":
+            x = self.objexpr(t.args[0])
+            return (x, x), lambda: inst.identity(x)
+        if name in ("s", "c"):
+            if name == "c" and not inst.provides("braiding_c"):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not braided", t.span.line, t.span.col
                 )
-            x, y = self.objexpr(t.x), self.objexpr(t.y)
-            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: inst.braiding_c(x, y)
-        if isinstance(t, ast.Theta):
+            x, y = self.objexpr(t.args[0]), self.objexpr(t.args[1])
+            swap = inst.switching if name == "s" else inst.braiding_c
+            return (inst.tensor_obj(x, y), inst.tensor_obj(y, x)), lambda: swap(x, y)
+        if name == "theta":
             if not inst.provides("twist_theta"):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} is not balanced", t.span.line, t.span.col
                 )
-            x = self.objexpr(t.obj)
+            x = self.objexpr(t.args[0])
             return (x, x), lambda: inst.twist_theta(x)
-        if isinstance(t, (ast.Ev, ast.Coev)):
-            x = self.objexpr(t.obj)
+        if name in ("ev", "coev"):
+            x = self.objexpr(t.args[0])
             if not inst.has_dual(x):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} has no duals", t.span.line, t.span.col
                 )
             xd = inst.dual_obj(x)
             unit = inst.unit_object()
-            if isinstance(t, ast.Ev):
+            if name == "ev":
                 return (inst.tensor_obj(xd, x), unit), lambda: inst.dual_data(x)[1]
             return (unit, inst.tensor_obj(x, xd)), lambda: inst.dual_data(x)[2]
-        if isinstance(t, ast.TraceHat):
-            (dom, cod), triple = self.tripleexpr(t.triple)
+        if name == "trace_hat":
+            (dom, cod), triple = self.tripleexpr(t.args[0])
             if dom != cod:
                 raise TypecheckError(
                     f"trace_hat needs an endomorphism-shaped triple, got"
@@ -268,9 +275,9 @@ class Checker:
                 )
             unit = inst.unit_object()
             return (unit, unit), lambda: tr_hat(triple())
-        if isinstance(t, ast.Pairing):
-            ft, f = self.term(t.f)
-            gt, g = self.term(t.g)
+        if name == "pairing":
+            ft, f = self.term(t.args[0])
+            gt, g = self.term(t.args[1])
             if not (gt[0] == ft[1] and gt[1] == ft[0]):
                 raise TypecheckError(
                     f"pairing needs opposite shapes, got {_fmt_obj(ft[0])} -> {_fmt_obj(ft[1])}"
@@ -289,8 +296,6 @@ class Checker:
 
             unit = inst.unit_object()
             return (unit, unit), pairing
-        if isinstance(t, ast.Paren):
-            return self.term(t.inner)
         raise TypecheckError(f"unhandled term {t!r}", t.span.line, t.span.col)
 
     def tripleexpr(self, e: ast.TripleExpr):
@@ -300,16 +305,16 @@ class Checker:
             if e.name not in self.triples:
                 raise TypecheckError(f"unknown triple {e.name!r}", e.span.line, e.span.col)
             return self.triples[e.name]
-        if isinstance(e, ast.Cut):
+        if isinstance(e, ast.TripleForm) and e.name == "cut":
             if inst.instance_id != "rbord1":
                 raise TypecheckError("cut(...) lives in rbord1", e.span.line, e.span.col)
-            ty, sigma = self.term(e.term)
-            frac = parse_rat(e.fraction)
+            ty, sigma = self.term(e.args[0])
+            frac = parse_rat(e.args[1])
             if not (0 < frac < 1):
                 raise TypecheckError("cut fraction must lie in (0,1)", e.span.line, e.span.col)
             return ty, lambda: inst.cut_thickener(sigma(), frac)
-        if isinstance(e, ast.Thicken):
-            ty, f = self.term(e.term)
+        if isinstance(e, ast.TripleForm) and e.name == "thicken":
+            ty, f = self.term(e.args[0])
             if not inst.has_dual(ty[0]):
                 raise TypecheckError(
                     f"thicken needs duals; instance {inst.instance_id!r} has none",

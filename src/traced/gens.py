@@ -66,7 +66,7 @@ def trial_stream(seed: int, suite_id: str, trial: int) -> Stream:
 
 
 def _fresh_label(rng: Stream, prefix: str) -> str:
-    return f"{prefix}{rng.next_u64() % 100000:05d}"
+    return f"{prefix}{rng.randint(0, 99999):05d}"
 
 
 # -- objects -------------------------------------------------------------------

@@ -43,9 +43,10 @@ def test_diagrammatic_order():
     prog = parse("instance finvect\nobj X = 2\n"
                  "mor f : X -> X = [[1, 0], [0, 1]]\nprint(id(X) ; f)\n")
     cmd = prog.items[-1]
-    assert isinstance(cmd.term, ast.Compose)
-    assert isinstance(cmd.term.before, ast.Id)  # id runs first
-    assert isinstance(cmd.term.after, ast.Gen)
+    assert isinstance(cmd.args[0], ast.Compose)
+    before = cmd.args[0].before
+    assert isinstance(before, ast.Form) and before.name == "id"  # id runs first
+    assert isinstance(cmd.args[0].after, ast.Gen)
 
 
 def test_precedence_tensor_binds_tighter():
@@ -54,7 +55,7 @@ def test_precedence_tensor_binds_tighter():
                  "mor g : X -> X = [[1, 0], [0, 1]]\n"
                  "mor h : X * X -> X * X = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
                  "print(f * g ; h)\n")
-    term = prog.items[-1].term
+    term = prog.items[-1].args[0]
     assert isinstance(term, ast.Compose)
     assert isinstance(term.before, ast.Tensor)
     assert isinstance(term.after, ast.Gen)
@@ -134,7 +135,7 @@ def test_pairing_shape_check():
 def test_s_with_dual_infers_types():
     tp = typecheck(parse("instance finvect\nobj X = 2\nprint(s(X, dual(X)))\n"))
     inst = get_instance("finvect")
-    term = tp.program.items[-1].term
+    term = tp.program.items[-1].args[0]
     src, tgt = tp.term_types[id(term)]
     assert src == inst.tensor_obj(inst.space(2), inst.dual_obj(inst.space(2)))
 
@@ -273,6 +274,38 @@ def test_every_builtin_form_is_in_the_grammar_with_its_arguments():
         match = re.search(rf'"{name}", "\(", (.*?), "\)"', ebnf)
         assert match, name
         assert match.group(1).split(', ",", ') == [nonterminal[kind] for _f, kind in fields]
+
+
+def form_nodes(node):
+    """Every builtin-form node in a parsed program, in any position."""
+    if isinstance(node, (ast.Form, ast.ObjForm, ast.TripleForm, ast.Command)):
+        yield node
+    if isinstance(node, tuple):
+        for part in node:
+            yield from form_nodes(part)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from form_nodes(getattr(node, f.name))
+
+
+def test_every_form_is_in_the_corpus_as_the_node_its_entry_names():
+    """Each FORMS name, the two commands included, occurs in some corpus
+    program, and every occurrence parses to the node class of its entry with
+    one argument per role."""
+    built = {}
+    for path in corpus_texts():
+        for node in form_nodes(parse(path.read_text())):
+            built.setdefault(node.name, set()).add(type(node))
+            assert len(node.args) == len(FORMS[node.name][1]), (path.stem, node)
+    assert built == {name: {node} for name, (node, _roles) in FORMS.items()}
+
+
+def test_a_binding_named_like_a_command_is_not_a_command():
+    """An item is a command by its node class, not by its name: a morphism
+    named `assert_equal` and a triple named `print` stay bindings."""
+    report = run_text("instance finvect\nobj X = 2\nmor assert_equal : X -> X = [[2, 0], [0, 2]]\n"
+                      "triple print = thicken(assert_equal)\nprint(trace_hat(print))\n")
+    assert [(type(r).__name__, r.text) for r in report.results] == [("PrintResult", "4")]
 
 
 # Replacements keep a token's kind, so that many mutants get past the parser.
