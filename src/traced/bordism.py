@@ -12,18 +12,26 @@ chain; chains that close up leave the boundary and become circles.  The
 monoidal structure is disjoint union (labels must stay distinct), and the
 switching isomorphism is the relabelling isometry X (+) Y -> Y (+) X.
 
+The same walk glues a whiskered composite (id (x) g) . (f (x) id) in one
+step, with no identity, tensor or relabelling built.  That is how the
+gluing kernels evaluate psi, tr_hat, pre_compose, post_compose and
+hat_comp_witness; the whiskered composites in thickened.py stay the
+reference, and the kernel.oracle.rbord1 suite checks each kernel against
+its composite on every generated input.
+
 The identity isometry of the empty set and the empty bordism are the same
 morphism; the canonical form stores it as the empty bordism.  Zero-length
 arcs never appear in user-built bordisms, but show up transiently when a
 bordism is tensored with an identity isometry; a composite whose arcs all
-have length zero collapses back to an isometry.
+have length zero collapses back to an isometry.  `cut_thickener` and
+`glue_trace` refuse a bordism that carries such a thin strand.
 
 Every length is a `rat`.  It becomes one once, where it enters: `bord_mor`,
 `circles_mor` and the cut fraction of `cut_thickener` convert whatever they
-are given, and nothing else converts a length again.  `compose`, `tensor`
-and `glue_trace` reuse the `rat` objects of their operands, making a new
-one only for a sum.  An isometry strand seen as an arc carries the one
-shared zero `_ZERO`, which chain sums skip.
+are given, and nothing else converts a length again.  `compose`, `tensor`,
+`glue_trace` and the gluing kernels reuse the `rat` objects of their
+operands, making a new one only for a sum.  An isometry strand seen as an
+arc carries the one shared zero `_ZERO`, which chain sums skip.
 """
 
 from __future__ import annotations
@@ -67,6 +75,16 @@ def _chains(arcs, glue, ends=()):
     opened = [(start, *walk(start)) for start in ends if start not in visited]
     closed = [walk(node)[1] for node in arc_at if node not in visited]
     return opened, closed
+
+
+def _refuse_thin_strand(sigma, action: str):
+    """Refuse a bordism that carries an isometry strand, the zero-length arc
+    that tensoring with an isometry leaves behind: it has no collar to cut,
+    and gluing it up could close a circle of length zero."""
+    for (a, b, l) in sigma.payload.arcs:
+        if not l:
+            raise NotBordism(f"the strand {a[1]} -> {b[1]} is an isometry strand of length 0;"
+                             f" only bordisms can be {action}")
 
 
 @dataclass(frozen=True)
@@ -213,21 +231,30 @@ class RBord1(CategoryInstance):
             fm, gm = f.payload.as_dict(), g.payload.as_dict()
             return self._normalize(f.source, g.target,
                                    Iso.make((a, gm[b]) for (a, b) in fm.items()))
+        return self._glue(f.source, g.target, f, g, f.target.payload)
 
-        # g's arc ends are retagged "gin"/"gout" so that they cannot collide
-        # with f's; (OUT, m) and ("gin", m) are glued for every middle point m.
-        f_arcs, f_circ = self._arc_form(f)
-        g_arcs, g_circ = self._arc_form(g)
-        g_arcs = [((_G_TAG[a[0]], a[1]), (_G_TAG[b[0]], b[1]), l) for (a, b, l) in g_arcs]
+    def _glue(self, src: ObjectRef, tgt: ObjectRef, lower: Morphism, upper: Morphism,
+              seam) -> Morphism:
+        """(id (x) upper) . (lower (x) id): src -> tgt in one chain walk.  The
+        out-ends of `lower` at the labels of `seam` are glued to the in-ends
+        of `upper` at the same labels; every other end keeps its side and
+        label.  compose glues along all of lower's target."""
+        # upper's arc ends are retagged "gin"/"gout" so that they cannot
+        # collide with lower's, even where src and tgt share labels
+        low_arcs, low_circ = self._arc_form(lower)
+        up_arcs, up_circ = self._arc_form(upper)
+        up_arcs = [((_G_TAG[a[0]], a[1]), (_G_TAG[b[0]], b[1]), l) for (a, b, l) in up_arcs]
         glue = {}
-        for m in f.target.payload:
+        for m in seam:
             glue[(OUT, m)] = ("gin", m)
             glue[("gin", m)] = (OUT, m)
-        outer = {(IN, x): (IN, x) for x in f.source.payload}
-        outer.update({("gout", y): (OUT, y) for y in g.target.payload})
-        opened, closed = _chains((*f_arcs, *g_arcs), glue, outer)
+        outer = {(IN, x): (IN, x) for x in lower.source.payload}
+        outer.update({(OUT, y): (OUT, y) for y in lower.target.payload if (OUT, y) not in glue})
+        outer.update({("gin", x): (IN, x) for x in upper.source.payload if ("gin", x) not in glue})
+        outer.update({("gout", y): (OUT, y) for y in upper.target.payload})
+        opened, closed = _chains((*low_arcs, *up_arcs), glue, outer)
         arcs = [(outer[start], outer[end], total) for (start, end, total) in opened]
-        return self._normalize(f.source, g.target, Bord.make(arcs, [*f_circ, *g_circ, *closed]))
+        return self._normalize(src, tgt, Bord.make(arcs, [*low_circ, *up_circ, *closed]))
 
     def tensor(self, f: Morphism, g: Morphism) -> Morphism:
         self._own_mor(f)
@@ -246,6 +273,37 @@ class RBord1(CategoryInstance):
         to_orig = self.iso_mor(x2, x, dict(zip(x2.payload, x.payload)))
         from_orig = self.iso_mor(x, x2, dict(zip(x.payload, x2.payload)))
         return x2, to_orig, from_orig
+
+    # gluing kernels ------------------------------------------------------------
+    #
+    # Each <op>_kernel takes the arguments of thickened.<op>_composite and
+    # returns the same component, from one _glue walk instead of the
+    # whiskered composite.  Where the composite can meet a label collision,
+    # the kernel first makes the composite's failing tensor_obj call, so it
+    # raises the same DomainMismatch.
+
+    def psi_kernel(self, tr) -> Morphism:
+        """(id_Y (x) b) . (t (x) id_X): t glued to b along Z."""
+        return self._glue(tr.dom, tr.cod, tr.t, tr.b, tr.z.payload)
+
+    def tr_hat_kernel(self, tr) -> Morphism:
+        """b . s_{X,Z} . t: s only relabels, so t is glued to b along X and Z."""
+        return self._glue(tr.t.source, tr.b.target, tr.t, tr.b, tr.t.target.payload)
+
+    def pre_compose_kernel(self, tr, f: Morphism) -> Morphism:
+        """b . (id_Z (x) f): f glued to b along X."""
+        src = self.tensor_obj(tr.z, f.source)
+        return self._glue(src, tr.b.target, f, tr.b, f.target.payload)
+
+    def post_compose_kernel(self, f: Morphism, tr) -> Morphism:
+        """(f (x) id_Z) . t: t glued to f along Y."""
+        tgt = self.tensor_obj(f.target, tr.z)
+        return self._glue(tr.t.source, tgt, tr.t, f, f.source.payload)
+
+    def hat_comp_witness_kernel(self, tr1, tr2) -> Morphism:
+        """g = (b1 (x) id_{Z2}) . (id_{Z1} (x) t2): t2 glued to b1 along X."""
+        self.tensor_obj(tr1.b.source, tr2.z)
+        return self._glue(tr1.z, tr2.z, tr2.t, tr1.b, tr2.cod.payload)
 
     # cutting and gluing ---------------------------------------------------------
 
@@ -283,6 +341,7 @@ class RBord1(CategoryInstance):
         self._own_mor(sigma)
         if not isinstance(sigma.payload, Bord):
             raise NotBordism("isometries are thin; only bordisms can be cut")
+        _refuse_thin_strand(sigma, "cut")
         r = cut_fraction if type(cut_fraction) is rat else rat(cut_fraction)
         if not (0 < r < 1):
             raise DomainMismatch("cut fraction must lie strictly between 0 and 1")
@@ -328,6 +387,7 @@ class RBord1(CategoryInstance):
         self._own_mor(sigma)
         if not isinstance(sigma.payload, Bord):
             raise NotBordism("only bordisms can be glued up")
+        _refuse_thin_strand(sigma, "glued up")
         if sigma.source != sigma.target:
             raise NotEndo("gluing requires an endomorphism bordism")
         glue = {}

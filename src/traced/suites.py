@@ -64,6 +64,7 @@ from .thickened import (
     slide_pair,
     tensor_triples,
     tr_hat,
+    tr_hat_composite,
     trace_pairing,
     zero_triple,
 )
@@ -696,6 +697,26 @@ def kernel_oracle(inst, inputs):
            "add_triples kernel differs from the whiskered composite")
     yield (inst.mor_equal(hat_comp_witness(tr, f_hat).g, hat_comp_witness_composite(tr, f_hat)),
            "hat_comp_witness kernel differs from the whiskered composite")
+
+
+def _draw_gluing_oracle(inst, cfg, rng):
+    drawn = _draw_lem_witness(inst, cfg, rng)
+    return {**drawn, "g": gen_morphism(inst, drawn["y"], drawn["u"], rng)}
+
+
+@family("kernel.oracle.rbord1", "kernel.oracle", "the gluing kernels of rbord1 equal the"
+        " whiskered reference composites", instance="rbord1", draw=_draw_gluing_oracle)
+def kernel_oracle_rbord1(_inst, inputs):
+    tr1 = inputs.triple("{}1", *inputs.obj("x", "y"))
+    tr2 = inputs.triple("{}2", inputs.obj("u"), tr1.dom)
+    w = hat_comp_witness(tr1, tr2)  # left = pre_compose(tr1, psi(tr2)), right alike
+    endo = post_compose(inputs["g"], w.left)  # U -> U; g may be an isometry
+    differs = "{} kernel differs from the whiskered composite".format
+    yield psi(tr1) == psi_composite(tr1) and psi(endo) == psi_composite(endo), differs("psi")
+    yield w.left.b == pre_compose_composite(tr1, psi(tr2)), differs("pre_compose")
+    yield w.right.t == post_compose_composite(psi(tr1), tr2), differs("post_compose")
+    yield w.g == hat_comp_witness_composite(tr1, tr2), differs("hat_comp_witness")
+    yield tr_hat(endo) == tr_hat_composite(endo), differs("tr_hat")
 
 
 @family("balanced.relations", "bal.relations", "both braiding coherence relations hold exactly",

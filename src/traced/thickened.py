@@ -17,19 +17,24 @@ ordinary morphisms, the canonical witness that hat(f1).f2 and f1.hat(f2)
 are one slide apart, the trace pairing, sums of triples over a biproduct,
 and the braided tensor product of triples.
 
-Six operations have a contraction kernel on the matrix instances.  Each
-states its domain check once, makes one call getattr(inst, "<op>_kernel",
-<op>_composite)(...) and builds its result from what that returns.  The
-kernel, a method of the instance, and the whiskered composite below, the
-reference semantics and the only path for other instances, take the same
-arguments and return the same component:
+Six operations have a contraction kernel on the matrix instances, and
+five have a gluing kernel on rbord1.  Each states its domain check once,
+makes one call getattr(inst, "<op>_kernel", <op>_composite)(...) and
+builds its result from what that returns.  The kernel, a method of the
+instance, and the whiskered composite below, the reference semantics and
+the path of an instance without that kernel, take the same arguments and
+return the same component:
 
     psi (tr): the morphism           hat_comp_witness (tr1, tr2): the slide g
     pre_compose (tr, f): the new b   canonical_thickener (f, xd): t, xd = X*
     post_compose (f, tr): the new t  add_triples (tr1, tr2): the sum triple
+    tr_hat (tr): the scalar
 
-pad_thickener is add_triples with a summand whose t is zero, so it takes
-the add_triples path.  tr_hat and tensor_triples have no kernel.
+The matrix instances have every kernel but tr_hat's; rbord1 has psi,
+tr_hat, pre_compose, post_compose and hat_comp_witness, and no
+add_triples or canonical_thickener kernel, as it is neither additive nor
+has duals.  pad_thickener is add_triples with a summand whose t is zero,
+so it takes the add_triples path.  tensor_triples has no kernel.
 """
 
 from __future__ import annotations
@@ -111,6 +116,11 @@ def tr_hat(tr: ThickTriple) -> Morphism:
     """b . s_{X,Z} . t for an endomorphism-shaped triple."""
     if tr.dom != tr.cod:
         raise NotEndo("tr_hat needs dom = cod")
+    return getattr(instance_of(tr.dom), "tr_hat_kernel", tr_hat_composite)(tr)
+
+
+def tr_hat_composite(tr: ThickTriple) -> Morphism:
+    """tr_hat as the composite b . s_{X,Z} . t; the reference."""
     inst = instance_of(tr.dom)
     s = inst.switching(tr.dom, tr.z)
     return inst.compose(tr.b, inst.compose(s, tr.t))

@@ -1,6 +1,16 @@
 import pytest
 
-from traced import get_instance, psi, tr_hat, trace_pairing, rat
+from traced import (
+    ThickTriple,
+    get_instance,
+    hat_comp_witness,
+    post_compose,
+    pre_compose,
+    psi,
+    rat,
+    tr_hat,
+    trace_pairing,
+)
 from traced.bordism import IN, OUT, Bord, Iso
 from traced.core import Morphism
 from traced.errors import DomainMismatch, NotBordism, NotEndo
@@ -141,6 +151,21 @@ def test_cut_rejects_isometries_and_bad_fractions():
         rb.cut_thickener(sigma, rat(3, 2))
 
 
+def test_thin_strands_are_refused_by_name():
+    """A bordism tensored with an identity isometry carries a zero-length
+    strand.  Cutting or gluing it up is refused up front with NotBordism
+    naming the strand, also where the strand lies on a loop of positive
+    length, rather than failing later on a zero length nobody wrote."""
+    hybrid = rb.tensor(rb.interval("x", "x", 1), rb.identity(rb.points(["z"])))
+    xz = hybrid.source
+    swapped = rb.compose(rb.iso_mor(xz, xz, {"x": "z", "z": "x"}), hybrid)
+    for sigma, strand in ((hybrid, "z -> z"), (swapped, "z -> x")):
+        with pytest.raises(NotBordism, match=f"strand {strand} .* can be cut$"):
+            rb.cut_thickener(sigma, rat(1, 3))
+        with pytest.raises(NotBordism, match=f"strand {strand} .* can be glued up$"):
+            rb.glue_trace(sigma)
+
+
 def test_cut_carries_free_circles():
     x = rb.points(["x"])
     sigma = rb.bord_mor(x, x, [((IN, "x"), (OUT, "x"), 1)], circles=[7])
@@ -219,6 +244,12 @@ def test_every_public_path_stores_rat_lengths():
     from_y = rb.iso_mor(rb.points(["w"]), x, {"w": "x"})
     sigma = rb.compose(g, f)
     tri = rb.cut_thickener(sigma, rat(1, 3))
+    n, m = rb.points(["n"]), rb.points(["m"])
+    other = ThickTriple(dom=n, cod=x, z=m,
+                        t=rb.bord_mor(rb.unit_object(), rb.tensor_obj(x, m),
+                                      [((OUT, "x"), (OUT, "m"), 2)]),
+                        b=rb.bord_mor(rb.tensor_obj(m, n), rb.unit_object(),
+                                      [((IN, "m"), (IN, "n"), 5)]))
     made = Bord.make([((IN, "x"), (OUT, "y"), 5)], [3])
     assert type(made.arcs[0][2]) is rat and type(made.circles[0]) is rat
     built = [
@@ -229,6 +260,10 @@ def test_every_public_path_stores_rat_lengths():
         rb.tensor(f, rb.identity(uv)),
         rb.tensor(rb.identity(rb.points(["p"])), cup),
         rb.glue_trace(sigma),
+        psi(tri), tr_hat(tri),
+        pre_compose(tri, from_y).b,
+        post_compose(f, tri).t,
+        hat_comp_witness(tri, other).g,
     ]
     for mor in built:
         assert isinstance(mor.payload, Bord)
@@ -236,8 +271,9 @@ def test_every_public_path_stores_rat_lengths():
 
 
 def test_rebuilt_bordisms_reuse_their_lengths():
-    """compose with an isometry, tensor with an identity and glue_trace of a
-    single strand add no length, so they keep the very rat objects."""
+    """compose with an isometry, tensor with an identity, glue_trace of a
+    single strand and the gluing kernels where each chain has one piece of
+    positive length add no length, so they keep the very rat objects."""
     x, y, u = rb.points(["x"]), rb.points(["y"]), rb.points(["u"])
     f = rb.interval("x", "y", 3)
     (length,) = lengths(f)
@@ -246,6 +282,20 @@ def test_rebuilt_bordisms_reuse_their_lengths():
     assert any(l is length for l in lengths(rb.tensor(f, rb.identity(u))))
     loop = rb.interval("x", "x", 3)
     assert lengths(rb.glue_trace(loop))[0] is lengths(loop)[0]
+    tri = rb.cut_thickener(f, rat(1, 3))
+    assert lengths(pre_compose(tri, rb.iso_mor(u, x, {"u": "x"})).b)[0] is lengths(tri.b)[0]
+    assert lengths(post_compose(rb.iso_mor(y, u, {"y": "u"}), tri).t)[0] is lengths(tri.t)[0]
+
+    def objects(*mors):
+        return sorted(id(l) for mor in mors for l in lengths(mor))
+
+    unit = rb.unit_object()
+    free = ThickTriple(dom=unit, cod=unit, z=unit, t=rb.circles_mor([4]), b=rb.circles_mor([5]))
+    for glued in (psi(free), tr_hat(free), hat_comp_witness(free, free).g):
+        assert objects(glued) == objects(free.t, free.b)
+    cap = rb.bord_mor(unit, rb.points(["p", "q"]), [((OUT, "p"), (OUT, "q"), 2)])
+    capped = ThickTriple(dom=unit, cod=cap.target, z=unit, t=cap, b=free.b)
+    assert objects(psi(capped)) == objects(cap, free.b)
 
 
 def test_zero_length_composites_collapse_to_isometries():

@@ -178,6 +178,17 @@ def test_eval_thickens_a_morphism_of_the_zero_object(tmp_path, capsys):
     assert run_cli(capsys, "eval", str(path)) == (0, "0\n0\n", "")
 
 
+def test_eval_refuses_to_cut_a_thin_strand(tmp_path, capsys):
+    """Cutting f (x) id_Z names the thin strand of the identity, with exit 2,
+    instead of reporting a zero arc length the program never wrote."""
+    path = tmp_path / "c.diag"
+    path.write_text("instance rbord1\nobj X = pts{x}\nobj Z = pts{z}\n"
+                    "mor f : X -> X = bord{x->x : 1}\nprint(trace_hat(cut(f * id(Z), 1/3)))\n")
+    assert run_cli(capsys, "eval", str(path)) == (
+        2, "", f"{path}: the strand z -> z is an isometry strand of length 0;"
+               " only bordisms can be cut\n")
+
+
 @pytest.mark.parametrize("program, line", [
     ("instance graded(q=1/0)\n", "1:19: zero denominator in 1/0"),
     ("instance finvect\nobj X = 1\nmor f : X -> X = [[1/0]]\n",

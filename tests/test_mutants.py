@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from traced import bordism, suites, thickened
+from traced.bordism import Bord, RBord1
 from traced.core import Morphism, instance_of
 from traced.graded import GradedVect
 from traced.matrices import RatMatrix
@@ -135,6 +136,70 @@ def post_compose_column_major(patch):
     patch(MatrixCategory, "post_compose_kernel", column_major)
 
 
+def psi_gluing_loses_loops(patch):
+    """The rbord1 psi kernel keeps only its operands' circles, not the loops
+    that close up through Z."""
+    kernel = RBord1.psi_kernel
+
+    def lossy(self, tr):
+        out = kernel(self, tr)
+        kept = tr.t.payload.circles + tr.b.payload.circles
+        return dataclasses.replace(out, payload=Bord.make(out.payload.arcs, kept))
+
+    patch(RBord1, "psi_kernel", lossy)
+
+
+def tr_hat_gluing_drops_operand_circles(patch):
+    """The rbord1 tr_hat kernel keeps the loops it closes but drops the free
+    circles of t and b."""
+    def bare(m):
+        return dataclasses.replace(m, payload=Bord(m.payload.arcs, ()))
+
+    kernel = RBord1.tr_hat_kernel
+    patch(RBord1, "tr_hat_kernel",
+          lambda self, tr: kernel(self, dataclasses.replace(tr, t=bare(tr.t), b=bare(tr.b))))
+
+
+def pre_compose_gluing_drops_f_circles(patch):
+    """The rbord1 pre_compose kernel forgets the free circles of f."""
+    kernel = RBord1.pre_compose_kernel
+
+    def forgetful(self, tr, f):
+        if isinstance(f.payload, Bord):
+            f = dataclasses.replace(f, payload=Bord(f.payload.arcs, ()))
+        return kernel(self, tr, f)
+
+    patch(RBord1, "pre_compose_kernel", forgetful)
+
+
+def post_compose_gluing_skips_f_lengths(patch):
+    """The rbord1 post_compose kernel gives each chain the length of its t
+    piece only, as if f's arcs had length zero."""
+    kernel = RBord1.post_compose_kernel
+
+    def thin(self, f, tr):
+        if isinstance(f.payload, Bord):
+            arcs = tuple((a, b, bordism._ZERO) for (a, b, _l) in f.payload.arcs)
+            f = dataclasses.replace(f, payload=Bord(arcs, f.payload.circles))
+        return kernel(self, f, tr)
+
+    patch(RBord1, "post_compose_kernel", thin)
+
+
+def hat_witness_gluing_sides_swapped(patch):
+    """The rbord1 hat_comp_witness kernel puts Z1 on the out-side of g and
+    Z2 on the in-side."""
+    kernel = RBord1.hat_comp_witness_kernel
+    flip = {bordism.IN: bordism.OUT, bordism.OUT: bordism.IN}
+
+    def swapped(self, tr1, tr2):
+        g = kernel(self, tr1, tr2)
+        arcs = [((flip[a[0]], a[1]), (flip[b[0]], b[1]), l) for (a, b, l) in g.payload.arcs]
+        return dataclasses.replace(g, payload=Bord.make(arcs, g.payload.circles))
+
+    patch(RBord1, "hat_comp_witness_kernel", swapped)
+
+
 def chain_length_longest_piece(patch):
     """rbord1 gives a glued chain the length of its longest piece, not the sum."""
     def chains(arcs, glue, ends=()):
@@ -185,6 +250,16 @@ KILLS = {
                                "pre_compose kernel differs from the whiskered composite"),
     post_compose_column_major: ("kernel.oracle.finvect",
                                 "post_compose kernel differs from the whiskered composite"),
+    psi_gluing_loses_loops: ("kernel.oracle.rbord1",
+                             "psi kernel differs from the whiskered composite"),
+    tr_hat_gluing_drops_operand_circles: ("kernel.oracle.rbord1",
+                                          "tr_hat kernel differs from the whiskered composite"),
+    pre_compose_gluing_drops_f_circles: ("kernel.oracle.rbord1",
+                                         "pre_compose kernel differs from the whiskered composite"),
+    post_compose_gluing_skips_f_lengths: ("kernel.oracle.rbord1",
+                                          "post_compose kernel differs from the whiskered composite"),
+    hat_witness_gluing_sides_swapped: ("kernel.oracle.rbord1",
+                                       "hat_comp_witness kernel differs from the whiskered composite"),
     chain_length_longest_piece: ("bord.glue", "glue_trace != tr_hat . cut_thickener"),
     closed_chains_dropped: ("sec2.partition", "partition value 1 != pairing -8192"),
 }

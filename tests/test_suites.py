@@ -124,7 +124,7 @@ PINNED_SUITES = (
 PINNED_REPORT_SHA256 = "d53845896cc99025f2a2b601a9b9c98a869758d56591c39c6d91463ce469406f"
 # Every registered suite, so that registry order, the corpus trial count and
 # every verdict enter the hashed bytes.
-ALL_SUITES_REPORT_SHA256 = "9eb393707ae8fbddbae65b558db652b7c50e98b2d1ccc32c602e52e1593a5427"
+ALL_SUITES_REPORT_SHA256 = "793d5c18fe3342a4d62a02d4a5b965dad485289f76447f5ee01c2b39a9b8ccd3"
 
 
 @pytest.mark.parametrize("cfg, digest", [
@@ -142,20 +142,22 @@ def test_report_bytes_are_pinned(cfg, digest):
     the integer matrix core replaced the Fraction-dict storage.  The
     all-suites case was recorded before the suites became declaratively
     registered families with one trial loop, and re-recorded when
-    dual.trace.graded joined the registry; the other 65 entries of the
-    re-recorded report are byte-identical to the earlier one."""
+    dual.trace.graded joined the registry, and again when
+    kernel.oracle.rbord1 did; each time, the report with the new suite's
+    entry removed hashes to the earlier constant."""
     text = json.dumps(run_suite(cfg).as_json(), indent=1, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-GENERATED_INPUTS_SHA256 = "58e11b67428103cc890eceaaa2f8e2ec346d97e6cdb8fa5610183bcec3b1307a"
+GENERATED_INPUTS_SHA256 = "b0720ed97a70a0b367bd97e100ecb1ebcf85a8f1ab8c0e2d01c8a91157d60837"
 
 
 def test_generated_inputs_are_pinned():
     """The serialized inputs of trials 0-4 of every registered suite hash to
     a constant recorded before the suites became declaratively registered
-    families, and re-recorded when dual.trace.graded joined the registry
-    (the rows of the other suites are unchanged).  A passing suite's report never shows its inputs, so this is
+    families, and re-recorded when dual.trace.graded and then
+    kernel.oracle.rbord1 joined the registry (the rows of the other suites
+    are unchanged).  A passing suite's report never shows its inputs, so this is
     what catches a reordered rng draw or a renamed input key, either of
     which would stop older replay files from replaying."""
     cfg = SuiteConfig(seed=7, q="3/2")

@@ -22,7 +22,17 @@ from traced import (
 )
 from traced import thickened
 from traced.errors import CapabilityMissing, DomainMismatch, NotEndo
-from traced.gens import gen_endo_pair, gen_matrix_mor, gen_object, gen_triple, trial_stream
+from traced.bordism import IN, OUT, Bord
+from traced.gens import (
+    gen_bordism,
+    gen_endo_pair,
+    gen_matrix_mor,
+    gen_morphism,
+    gen_object,
+    gen_point_set,
+    gen_triple,
+    trial_stream,
+)
 from traced.matrices import RatMatrix
 from traced.thickened import (
     add_triples_composite,
@@ -31,13 +41,14 @@ from traced.thickened import (
     post_compose_composite,
     pre_compose_composite,
     psi_composite,
+    tr_hat_composite,
 )
-from traced.vect import MatrixCategory
 
 fv = get_instance("finvect")
 sv = get_instance("supervect")
 g2 = get_instance("graded(q=2)")
-ALL = [fv, sv, g2, get_instance("rbord1")]
+rb = get_instance("rbord1")
+ALL = [fv, sv, g2, rb]
 MATRIX = [fv, sv, g2]
 
 
@@ -392,15 +403,152 @@ def test_kernels_graded_mixed_degrees():
         assert_kernels_match_reference(g32, tri, rng)
 
 
-def test_bordism_instance_has_no_kernel():
-    """rbord1 has no kernel, so it takes the composites; every matrix
-    instance has all six, each with the parameters of its composite."""
-    rb = get_instance("rbord1")
-    for op in ("psi", "pre_compose", "post_compose", "hat_comp_witness", "add_triples",
-               "canonical_thickener"):
-        name = f"{op}_kernel"
-        assert not hasattr(rb, name)
-        assert all(hasattr(inst, name) for inst in MATRIX)
-        kernel = list(inspect.signature(getattr(MatrixCategory, name)).parameters)
-        composite = inspect.signature(getattr(thickened, f"{op}_composite")).parameters
-        assert kernel[0] == "self" and kernel[1:] == list(composite), op
+def test_kernels_of_each_instance():
+    """Every matrix instance has the six contraction kernels and no tr_hat
+    kernel; rbord1 has exactly the five gluing kernels, and no add_triples
+    or canonical_thickener kernel, as it is neither additive nor has duals.
+    Each kernel takes the parameters of its composite."""
+    matrix_ops = {"psi", "pre_compose", "post_compose", "hat_comp_witness", "add_triples",
+                  "canonical_thickener"}
+    gluing_ops = {"psi", "tr_hat", "pre_compose", "post_compose", "hat_comp_witness"}
+    for inst, ops in [(inst, matrix_ops) for inst in MATRIX] + [(rb, gluing_ops)]:
+        kernels = {name for name in dir(inst) if name.endswith("_kernel")}
+        assert kernels == {f"{op}_kernel" for op in ops}, inst.instance_id
+        for op in ops:
+            kernel = inspect.signature(getattr(inst, f"{op}_kernel")).parameters
+            composite = inspect.signature(getattr(thickened, f"{op}_composite")).parameters
+            assert list(kernel) == list(composite), (inst.instance_id, op)
+
+
+# -- gluing kernels of rbord1 against the whiskered reference ------------------
+
+
+def assert_gluing_kernels_match_reference(tri, f, g, tr2=None):
+    """Every gluing kernel returns what its reference composite returns:
+    psi on tri, and tr_hat when tri is an endomorphism triple; pre_compose
+    with f: W -> dom; post_compose with g: cod -> V; and hat_comp_witness of
+    tri and tr2, a triple into dom, when given."""
+    assert psi(tri) == psi_composite(tri)
+    if tri.dom == tri.cod:
+        assert tr_hat(tri) == tr_hat_composite(tri)
+    assert pre_compose(tri, f).b == pre_compose_composite(tri, f)
+    assert post_compose(g, tri).t == post_compose_composite(g, tri)
+    if tr2 is not None:
+        assert hat_comp_witness(tri, tr2).g == hat_comp_witness_composite(tri, tr2)
+
+
+def bord_triple(x, y, z, t_arcs, b_arcs, t_circles=()):
+    """The rbord1 triple over point sets x -> y with thickening object z,
+    from the arcs ((side, label), (side, label), length) of t and b."""
+    x, y, z = rb.points(x), rb.points(y), rb.points(z)
+    unit = rb.unit_object()
+    t = rb.bord_mor(unit, rb.tensor_obj(y, z), t_arcs, t_circles)
+    b = rb.bord_mor(rb.tensor_obj(z, x), unit, b_arcs)
+    return ThickTriple(dom=x, cod=y, z=z, t=t, b=b)
+
+
+def random_gluing_case(rng, nx, ny, nz):
+    """A random triple over point sets of sizes nx -> ny with a thickening
+    object of size nz, and random f: W -> X and g: Y -> V with |W| = |X|
+    and |V| = |Y|, isometries one time in four."""
+    x, y = gen_point_set(rb, rng, nx, "x"), gen_point_set(rb, rng, ny, "y")
+    z = gen_point_set(rb, rng, nz, "z")
+    unit = rb.unit_object()
+    t = gen_bordism(rb, unit, rb.tensor_obj(y, z), rng)
+    b = gen_bordism(rb, rb.tensor_obj(z, x), unit, rng)
+    f = gen_morphism(rb, gen_point_set(rb, rng, nx, "w"), x, rng)
+    g = gen_morphism(rb, y, gen_point_set(rb, rng, ny, "v"), rng)
+    return ThickTriple(dom=x, cod=y, z=z, t=t, b=b), f, g
+
+
+@pytest.mark.parametrize("nx, ny, nz", [(0, 2, 2), (0, 0, 2), (0, 2, 0), (2, 0, 0), (2, 2, 0),
+                                        (0, 0, 0)])
+def test_gluing_kernels_with_empty_domain_or_thickening_object(nx, ny, nz):
+    """X or Z (or both) is the empty point set; with X = Y = {} the triple
+    is an endomorphism triple, so tr_hat is checked too."""
+    rng = trial_stream(20, f"gluing-{nx}-{ny}-{nz}", 0)
+    for _ in range(20):
+        assert_gluing_kernels_match_reference(*random_gluing_case(rng, nx, ny, nz))
+
+
+def test_gluing_kernels_on_endomorphism_triples():
+    """dom and cod share their labels, which the composite of psi works
+    around with a relabelled copy of dom; hat_comp_witness gets a second
+    endomorphism triple over the same points with Z labels of its own."""
+    rng = trial_stream(21, "gluing-endo", 0)
+    for _ in range(40):
+        x, tri = gen_endo_pair(rb, rng)
+        tr2 = gen_triple(rb, x, x, rng, z_prefix="w")
+        f = gen_morphism(rb, x, x, rng)
+        assert_gluing_kernels_match_reference(tri, f, gen_morphism(rb, x, x, rng), tr2)
+
+
+def test_gluing_kernels_with_isometry_operands():
+    """pre_compose and post_compose with identities, with a permutation of
+    the triple's own points and with relabellings to fresh points."""
+    x, fresh = rb.points(["x1", "x2"]), rb.points(["p", "q"])
+    tri = bord_triple(["x1", "x2"], ["x1", "x2"], ["z1", "z2"],
+                      [((OUT, "x1"), (OUT, "z2"), 1), ((OUT, "x2"), (OUT, "z1"), 2)],
+                      [((IN, "z1"), (IN, "x1"), 3), ((IN, "z2"), (IN, "x2"), 4)])
+    for iso in (rb.identity(x), rb.iso_mor(x, x, {"x1": "x2", "x2": "x1"})):
+        assert_gluing_kernels_match_reference(tri, iso, iso)
+    assert_gluing_kernels_match_reference(tri, rb.iso_mor(fresh, x, {"p": "x2", "q": "x1"}),
+                                          rb.iso_mor(x, fresh, {"x1": "q", "x2": "p"}))
+
+
+def test_gluing_kernels_close_circles():
+    """Each gluing closes a loop: psi and tr_hat through Z, pre_compose
+    through a cap on X, post_compose through a cup on Y and
+    hat_comp_witness through a cup and a cap on X.  Free circles of the
+    operands are kept."""
+    tri = bord_triple(["x1", "x2"], ["y1", "y2"], ["z1", "z2"],
+                      [((OUT, "y1"), (OUT, "y2"), 1), ((OUT, "z1"), (OUT, "z2"), 2)],
+                      [((IN, "z1"), (IN, "z2"), 3), ((IN, "x1"), (IN, "x2"), 4)])
+    cap = rb.bord_mor(rb.unit_object(), tri.dom, [((OUT, "x1"), (OUT, "x2"), 5)])
+    cup = rb.bord_mor(tri.cod, rb.unit_object(), [((IN, "y1"), (IN, "y2"), 6)])
+    tr2 = bord_triple([], ["x1", "x2"], ["w1", "w2"],
+                      [((OUT, "x1"), (OUT, "x2"), 1), ((OUT, "w1"), (OUT, "w2"), 1)],
+                      [((IN, "w1"), (IN, "w2"), 2)])
+    assert psi(tri).payload.circles == (5,)
+    assert pre_compose(tri, cap).b.payload.circles == (9,)
+    assert post_compose(cup, tri).t.payload.circles == (7,)
+    assert hat_comp_witness(tri, tr2).g.payload.circles == (5,)
+    assert_gluing_kernels_match_reference(tri, cap, cup, tr2)
+    endo = bord_triple(["x"], ["x"], ["z1", "z2", "z3"],
+                       [((OUT, "x"), (OUT, "z3"), 1), ((OUT, "z1"), (OUT, "z2"), 2)],
+                       [((IN, "z1"), (IN, "z2"), 3), ((IN, "z3"), (IN, "x"), 4)], t_circles=[7])
+    assert psi(endo).payload == Bord.make([((IN, "x"), (OUT, "x"), 5)], [5, 7])
+    assert tr_hat(endo).payload == Bord.make([], [5, 5, 7])
+    x = rb.points(["x"])
+    assert_gluing_kernels_match_reference(endo, rb.interval("x", "x", 2), rb.identity(x))
+
+
+def assert_same_domain_mismatch(kernel_path, composite):
+    """Both calls raise DomainMismatch with one message, which is returned."""
+    with pytest.raises(DomainMismatch) as kernel_error:
+        kernel_path()
+    with pytest.raises(DomainMismatch) as composite_error:
+        composite()
+    assert str(kernel_error.value) == str(composite_error.value)
+    return str(kernel_error.value)
+
+
+def test_gluing_kernels_raise_the_label_collisions_of_their_composites():
+    """f.source meeting Z in pre_compose, f.target meeting Z in
+    post_compose and Z2 meeting Z1 in hat_comp_witness."""
+    tri = bord_triple(["x"], ["y"], ["z"], [((OUT, "y"), (OUT, "z"), 1)],
+                      [((IN, "z"), (IN, "x"), 2)])
+    f, g = rb.interval("z", "x", 1), rb.interval("y", "z", 1)
+    tr2 = bord_triple(["u"], ["x"], ["z"], [((OUT, "x"), (OUT, "z"), 1)],
+                      [((IN, "z"), (IN, "u"), 2)])
+    collisions = [
+        assert_same_domain_mismatch(lambda: pre_compose(tri, f),
+                                    lambda: pre_compose_composite(tri, f)),
+        assert_same_domain_mismatch(lambda: post_compose(g, tri),
+                                    lambda: post_compose_composite(g, tri)),
+        assert_same_domain_mismatch(lambda: hat_comp_witness(tri, tr2),
+                                    lambda: hat_comp_witness_composite(tri, tr2)),
+    ]
+    assert collisions == ["label collision in disjoint union: ('z',) + ('z',)",
+                          "label collision in disjoint union: ('z',) + ('z',)",
+                          "label collision in disjoint union: ('z', 'x') + ('z',)"]
