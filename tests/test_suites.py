@@ -150,24 +150,32 @@ def test_report_bytes_are_pinned(cfg, digest):
 
 
 GENERATED_INPUTS_SHA256 = "b0720ed97a70a0b367bd97e100ecb1ebcf85a8f1ab8c0e2d01c8a91157d60837"
+SMALL_GENERATED_INPUTS_SHA256 = "c24efdf5feb1990ce23f808bd423f953b8d938fcbe3b3db5fe741115fb785bcd"
 
 
-def test_generated_inputs_are_pinned():
+@pytest.mark.parametrize("cfg, digest", [
+    (SuiteConfig(seed=7, q="3/2"), GENERATED_INPUTS_SHA256),
+    (SuiteConfig(seed=11, max_dim=2, max_degree=2, q="2"), SMALL_GENERATED_INPUTS_SHA256),
+], ids=["default-caps", "max-dim-2"])
+def test_generated_inputs_are_pinned(cfg, digest):
     """The serialized inputs of trials 0-4 of every registered suite hash to
-    a constant recorded before the suites became declaratively registered
-    families, and re-recorded when dual.trace.graded and then
-    kernel.oracle.rbord1 joined the registry (the rows of the other suites
-    are unchanged).  A passing suite's report never shows its inputs, so this is
-    what catches a reordered rng draw or a renamed input key, either of
-    which would stop older replay files from replaying."""
-    cfg = SuiteConfig(seed=7, q="3/2")
+    a constant.  The default-caps constant was recorded before the suites
+    became declaratively registered families, and re-recorded when
+    dual.trace.graded and then kernel.oracle.rbord1 joined the registry (the
+    rows of the other suites are unchanged).  The max-dim-2 case was
+    recorded before the triple families shared one declared draw; at
+    max_dim 2 a draw's dimension cap of 3 does not bind, so it catches a
+    cap rule that ignores cfg.max_dim.  A passing suite's report never shows
+    its inputs, so this is what catches a reordered rng draw or a renamed
+    input key, either of which would stop older replay files from
+    replaying."""
     rows = []
     for sid, suite in REGISTRY.items():
         for trial in range(5):
             inputs, _verdict = run_trial(suite, cfg, trial)
             rows.append([sid, trial, serde.dump_inputs(inputs)])
     text = json.dumps(rows, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_INPUTS_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_every_generated_input_round_trips_through_serde():
