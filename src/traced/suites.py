@@ -259,23 +259,28 @@ def _gen_chain_objects(inst, rng: Stream, cfg: SuiteConfig, count: int, prefix: 
     return [gen_object(inst, rng, cfg.max_dim, cfg.max_degree) for _ in range(count)]
 
 
-def _gen_same_parity(inst, rng: Stream, cfg: SuiteConfig, *prefixes):
-    """One object per prefix; in rbord1 they share one parity, so triples
-    and morphisms exist between any two.  Unlike `_gen_chain_objects`, each
-    size is drawn just before its points."""
-    if inst.instance_id == "rbord1":
-        par = rng.randint(0, 1)
-        return [gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix=p)
-                for p in prefixes]
-    return [gen_object(inst, rng, cfg.max_dim, cfg.max_degree) for _ in prefixes]
-
-
-def _draw_objects(names: str, cap=None):
-    """The draw of one object per name, in order, each of at most
-    min(cfg.max_dim, cap) basis vectors."""
+def _draw_over(objects, triples=None, morphisms=None, cap=None):
+    """The draw of one object per name in `objects`, then one `gen_triple`
+    per `key: (dom, cod[, z prefix])` of `triples`, then one `gen_morphism`
+    per `key: (src, tgt)` of `morphisms`, named by the objects' names.
+    Objects and Z have at most min(cfg.max_dim, cap) basis vectors.  In
+    rbord1 the objects share one parity, so triples and morphisms exist
+    between any two, and each is labelled by its name; unlike
+    `_gen_chain_objects`, each size is drawn just before its points."""
     def draw(inst, cfg, rng):
-        dim_cap = cfg.max_dim if cap is None else min(cfg.max_dim, cap)
-        return {name: gen_object(inst, rng, dim_cap, cfg.max_degree) for name in names}
+        dim = cfg.max_dim if cap is None else min(cfg.max_dim, cap)
+        if inst.instance_id == "rbord1":
+            par = rng.randint(0, 1)
+            drawn = {name: gen_point_set(inst, rng, par + 2 * rng.randint(0, 1), prefix=name)
+                     for name in objects}
+        else:
+            drawn = {name: gen_object(inst, rng, dim, cfg.max_degree) for name in objects}
+        for key, (dom, cod, *z_prefix) in (triples or {}).items():
+            drawn[key] = gen_triple(inst, drawn[dom], drawn[cod], rng, dim, cfg.max_degree,
+                                    *z_prefix)
+        for key, (src, tgt) in (morphisms or {}).items():
+            drawn[key] = gen_morphism(inst, drawn[src], drawn[tgt], rng)
+        return drawn
     return draw
 
 
@@ -362,12 +367,8 @@ def whtr_welldef(inst, inputs):
     yield inst.mor_equal(tr_hat(w.left), tr_hat(w.right)), "tr_hat not slide-invariant"
 
 
-def _draw_triple_and_back(inst, cfg, rng):
-    """A triple over (X, Y) and a morphism Y -> X."""
-    x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
-    f_hat = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    g = gen_morphism(inst, y, x, rng)
-    return {"{}": f_hat, "x": x, "y": y, "g": g}
+# a triple over (X, Y) and a morphism Y -> X
+_draw_triple_and_back = _draw_over("xy", {"{}": ("x", "y")}, {"g": ("y", "x")})
 
 
 @family("whtr.1", "whtr.1", "symmetry of the thickened trace under cyclic exchange",
@@ -380,15 +381,8 @@ def whtr_1(inst, inputs):
     yield inst.mor_equal(lhs, rhs), "tr_hat(hat(f).g) != tr_hat(g.hat(f))"
 
 
-def _draw_main2_1(inst, cfg, rng):
-    x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
-    f_hat = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    g_hat = gen_triple(inst, y, x, rng, cfg.max_dim, cfg.max_degree)
-    return {"f{}": f_hat, "g{}": g_hat, "x": x, "y": y}
-
-
 @family("main2.1", "main2.1", "symmetry of the trace pairing", ALL, group="all instances",
-        draw=_draw_main2_1)
+        draw=_draw_over("xy", {"f{}": ("x", "y"), "g{}": ("y", "x")}))
 def main2_1(inst, inputs):
     x, y = inputs.obj("x", "y")
     f_hat = inputs.triple("f{}", x, y)
@@ -398,15 +392,12 @@ def main2_1(inst, inputs):
     yield inst.mor_equal(lhs, rhs), "tr(f,g) != tr(g,f)"
 
 
-def _draw_lem_witness(inst, cfg, rng):
-    u, x, y = _gen_same_parity(inst, rng, cfg, "u", "x", "y")
-    tr1 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree, z_prefix="z")
-    tr2 = gen_triple(inst, u, x, rng, cfg.max_dim, cfg.max_degree, z_prefix="w")
-    return {"{}1": tr1, "{}2": tr2, "u": u, "x": x, "y": y}
+# composable triples U -> X -> Y, with disjoint Z labels in rbord1
+_COMPOSABLE = {"{}1": ("x", "y", "z"), "{}2": ("u", "x", "w")}
 
 
 @family("lem.witness", "whtr.witness", "hat(f1).f2 and f1.hat(f2) are one explicit slide apart",
-        ALL, group="all instances", draw=_draw_lem_witness)
+        ALL, group="all instances", draw=_draw_over("uxy", _COMPOSABLE))
 def lem_witness(inst, inputs):
     u, x, y = inputs.obj("u", "x", "y")
     tr1 = inputs.triple("{}1", x, y)
@@ -419,7 +410,7 @@ def lem_witness(inst, inputs):
 
 
 @family("core.symmetry", "core.symmetry", "s(Y,X) . s(X,Y) = id in symmetric instances",
-        ("finvect", "supervect"), group="symmetric", draw=_draw_objects("xy"))
+        ("finvect", "supervect"), group="symmetric", draw=_draw_over("xy"))
 def core_symmetry(inst, inputs):
     x, y = inputs.obj("x", "y")
     both = inst.compose(inst.switching(y, x), inst.switching(x, y))
@@ -489,14 +480,8 @@ def pairing_trace(inst, inputs):
     yield inst.mor_equal(pair, via_trace), "tr(f,g) != tr(f.g)"
 
 
-def _draw_whtr_2(inst, cfg, rng):
-    x, tr1 = gen_endo_pair(inst, rng, cfg.max_dim, cfg.max_degree)
-    tr2 = gen_triple(inst, x, x, rng, cfg.max_dim, cfg.max_degree)
-    return {"{}1": tr1, "{}2": tr2, "x": x}
-
-
 @family("whtr.2", "whtr.2", "additivity of psi and tr_hat; abelian-group structure",
-        MATRIX, group="matrix", draw=_draw_whtr_2)
+        MATRIX, group="matrix", draw=_draw_over("x", {"{}1": ("x", "x"), "{}2": ("x", "x")}))
 def whtr_2(inst, inputs):
     x = inputs.obj("x")
     tr1 = inputs.triple("{}1", x, x)
@@ -514,18 +499,9 @@ def whtr_2(inst, inputs):
     yield inst.mor_equal(tr_hat(with_zero), tr_hat(tr1)), "zero triple changes tr_hat"
 
 
-def _draw_main2_2(inst, cfg, rng):
-    x = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-    y = gen_object(inst, rng, cfg.max_dim, cfg.max_degree)
-    tr1 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    tr2 = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    g1 = gen_matrix_mor(inst, y, x, rng)
-    g2 = gen_matrix_mor(inst, y, x, rng)
-    return {"{}1": tr1, "{}2": tr2, "x": x, "y": y, "g1": g1, "g2": g2}
-
-
 @family("main2.2", "main2.2", "bilinearity of the trace pairing", MATRIX, group="matrix",
-        draw=_draw_main2_2)
+        draw=_draw_over("xy", {"{}1": ("x", "y"), "{}2": ("x", "y")},
+                        {"g1": ("y", "x"), "g2": ("y", "x")}))
 def main2_2(inst, inputs):
     x, y = inputs.obj("x", "y")
     tr1 = inputs.triple("{}1", x, y)
@@ -539,17 +515,9 @@ def main2_2(inst, inputs):
     yield inst.mor_equal(left, right), "pairing not additive in the second slot"
 
 
-def _draw_whtr_3(inst, cfg, rng):
-    dim_cap = min(cfg.max_dim, 3)
-    x1 = gen_object(inst, rng, dim_cap, cfg.max_degree)
-    x2 = gen_object(inst, rng, dim_cap, cfg.max_degree)
-    tr1 = gen_triple(inst, x1, x1, rng, dim_cap, cfg.max_degree)
-    tr2 = gen_triple(inst, x2, x2, rng, dim_cap, cfg.max_degree)
-    return {"{}1": tr1, "{}2": tr2, "x1": x1, "x2": x2}
-
-
 @family("whtr.3", "whtr.3", "multiplicativity of psi and tr_hat under the triple tensor",
-        ("supervect", "graded"), group="multiplicative", draw=_draw_whtr_3)
+        ("supervect", "graded"), group="multiplicative",
+        draw=_draw_over(("x1", "x2"), {"{}1": ("x1", "x1"), "{}2": ("x2", "x2")}, cap=3))
 def whtr_3(inst, inputs):
     x1, x2 = inputs.obj("x1", "x2")
     tr1 = inputs.triple("{}1", x1, x1)
@@ -560,18 +528,10 @@ def whtr_3(inst, inputs):
            "tr_hat is not multiplicative")
 
 
-def _draw_main2_3(inst, cfg, rng):
-    dim_cap = min(cfg.max_dim, 3)
-    x1, y1, x2, y2 = [gen_object(inst, rng, dim_cap, cfg.max_degree) for _ in range(4)]
-    tr1 = gen_triple(inst, x1, y1, rng, dim_cap, cfg.max_degree)
-    tr2 = gen_triple(inst, x2, y2, rng, dim_cap, cfg.max_degree)
-    g1 = gen_matrix_mor(inst, y1, x1, rng)
-    g2 = gen_matrix_mor(inst, y2, x2, rng)
-    return {"{}1": tr1, "{}2": tr2, "x1": x1, "y1": y1, "x2": x2, "y2": y2, "g1": g1, "g2": g2}
-
-
 @family("main2.3", "main2.3", "multiplicativity of the trace pairing",
-        ("supervect", "graded"), group="multiplicative", draw=_draw_main2_3)
+        ("supervect", "graded"), group="multiplicative",
+        draw=_draw_over(("x1", "y1", "x2", "y2"), {"{}1": ("x1", "y1"), "{}2": ("x2", "y2")},
+                        {"g1": ("y1", "x1"), "g2": ("y2", "x2")}, cap=3))
 def main2_3(inst, inputs):
     x1, y1, x2, y2 = inputs.obj("x1", "y1", "x2", "y2")
     tr1 = inputs.triple("{}1", x1, y1)
@@ -699,13 +659,9 @@ def kernel_oracle(inst, inputs):
            "hat_comp_witness kernel differs from the whiskered composite")
 
 
-def _draw_gluing_oracle(inst, cfg, rng):
-    drawn = _draw_lem_witness(inst, cfg, rng)
-    return {**drawn, "g": gen_morphism(inst, drawn["y"], drawn["u"], rng)}
-
-
 @family("kernel.oracle.rbord1", "kernel.oracle", "the gluing kernels of rbord1 equal the"
-        " whiskered reference composites", instance="rbord1", draw=_draw_gluing_oracle)
+        " whiskered reference composites", instance="rbord1",
+        draw=_draw_over("uxy", _COMPOSABLE, {"g": ("y", "u")}))
 def kernel_oracle_rbord1(_inst, inputs):
     tr1 = inputs.triple("{}1", *inputs.obj("x", "y"))
     tr2 = inputs.triple("{}2", inputs.obj("u"), tr1.dom)
@@ -720,7 +676,7 @@ def kernel_oracle_rbord1(_inst, inputs):
 
 
 @family("balanced.relations", "bal.relations", "both braiding coherence relations hold exactly",
-        instance="graded", draw=_draw_objects("xyz", cap=3))
+        instance="graded", draw=_draw_over("xyz", cap=3))
 def bal_relations(inst, inputs):
     x, y, z = inputs.obj("x", "y", "z")
     idx, idy, idz = inst.identity(x), inst.identity(y), inst.identity(z)
@@ -736,7 +692,7 @@ def bal_relations(inst, inputs):
 
 @family("balanced.twist", "bal.twist",
         "theta on a tensor equals the double braiding times the twists",
-        instance="graded", draw=_draw_objects("xy", cap=3))
+        instance="graded", draw=_draw_over("xy", cap=3))
 def bal_twist(inst, inputs):
     x, y = inputs.obj("x", "y")
     lhs = inst.twist_theta(inst.tensor_obj(x, y))
@@ -862,14 +818,8 @@ def crossing_regression(inst, inputs):
     yield ok, "uniform-crossing tensor breaks psi multiplicativity"
 
 
-def _draw_bord_thick(inst, cfg, rng):
-    x, y = _gen_same_parity(inst, rng, cfg, "x", "y")
-    tr = gen_triple(inst, x, y, rng, cfg.max_dim, cfg.max_degree)
-    return {"{}": tr, "x": x, "y": y}
-
-
 @family("bord.thick", "bord.1", "psi of every constructible triple is a genuine bordism",
-        instance="rbord1", draw=_draw_bord_thick)
+        instance="rbord1", draw=_draw_over("xy", {"{}": ("x", "y")}))
 def bord_thick(inst, inputs):
     tr = inputs.triple("{}", *inputs.obj("x", "y"))
     value = psi(tr)
