@@ -133,9 +133,6 @@ class CategoryInstance:
 
     # -- duals ---------------------------------------------------------------
 
-    def has_dual(self, x: ObjectRef) -> bool:
-        return self.provides("dual_data")
-
     def dual_data(self, x: ObjectRef):
         """Return (dual, ev, coev) satisfying the zigzag identities."""
         raise CapabilityMissing(f"instance {self.instance_id!r} has no duals")

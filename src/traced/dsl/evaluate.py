@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import get_instance
+from ..errors import DslError, TracedError
 from .._rat import rat_str
 from . import ast
 from .typecheck import TypedProgram
@@ -66,7 +67,10 @@ def evaluate(tp: TypedProgram) -> EvalReport:
     inst = get_instance(tp.instance_id)
     results = []
     for item, step in tp.steps:
-        value = step()
+        try:
+            value = step()
+        except TracedError as exc:  # e.g. cutting a thin strand: name the item
+            raise DslError(str(exc), item.span.line, item.span.col) from exc
         if isinstance(item, ast.Command) and item.name == "print":
             results.append(PrintResult(item.span.line, render_value(inst, value)))
         elif isinstance(item, ast.Command):  # assert_equal

@@ -144,7 +144,7 @@ class Checker:
                 raise _at(exc, e.span)
         if isinstance(e, ast.ObjForm) and e.name == "dual":
             inner = self.objexpr(e.args[0])
-            if not inst.has_dual(inner):
+            if not inst.provides("dual_data"):
                 raise TypecheckError(f"instance {iid!r} has no duals", e.span.line, e.span.col)
             return inst.dual_obj(inner)
         if isinstance(e, ast.ObjTensor):
@@ -256,7 +256,7 @@ class Checker:
             return (x, x), lambda: inst.twist_theta(x)
         if name in ("ev", "coev"):
             x = self.objexpr(t.args[0])
-            if not inst.has_dual(x):
+            if not inst.provides("dual_data"):
                 raise TypecheckError(
                     f"instance {inst.instance_id!r} has no duals", t.span.line, t.span.col
                 )
@@ -315,7 +315,7 @@ class Checker:
             return ty, lambda: inst.cut_thickener(sigma(), frac)
         if isinstance(e, ast.TripleForm) and e.name == "thicken":
             ty, f = self.term(e.args[0])
-            if not inst.has_dual(ty[0]):
+            if not inst.provides("dual_data"):
                 raise TypecheckError(
                     f"thicken needs duals; instance {inst.instance_id!r} has none",
                     e.span.line, e.span.col,

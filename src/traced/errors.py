@@ -37,7 +37,7 @@ class DirectedBordismRequired(TracedError):
 
 
 class DslError(TracedError):
-    """Base class for DSL front-end errors, carrying a source position."""
+    """Base class for DSL errors, carrying a source position."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {message}" if line else message)
@@ -56,3 +56,4 @@ class ParseError(DslError):
 
 class TypecheckError(DslError):
     pass
+

@@ -27,7 +27,9 @@ from ._rat import rat, rat_str
 class GradedVect(MatrixCategory):
     def __init__(self, q=2):
         q = rat(q)
-        if q * q == 1 or not q:
+        if not q:
+            raise ValueError("q must be nonzero")
+        if q * q == 1:
             raise ValueError("q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)")
         self.q = q
         self.instance_id = f"graded(q={rat_str(q)})"

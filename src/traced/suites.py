@@ -13,12 +13,14 @@ instances.  A family is its claims, a generator `claims(inst, inputs)`
 registered with `@family(..., draw=...)`, which declares all of its
 metadata in one place.  `draw(inst, cfg, rng)` returns a trial's typed
 values by input name: objects, triples, matrices, morphisms, rationals and
-strings.  `encode` stores them as the morphisms, rationals and strings that
-`serde` writes and `--replay` reads: an object as its identity, a triple as
-its t, b and the identity of its Z under three keys.  The claims read the
-stored inputs back through an `Inputs` reader and yield (holds, detail)
-pairs in order; a trial fails on the first pair that does not hold.
-`run_trial` gives that verdict for every trial: drawn, pinned or replayed.
+strings; most families declare it with `_draw_over`, as named objects and
+the triples and morphisms between them.  `encode` stores them as the
+morphisms, rationals and strings that `serde` writes and `--replay` reads:
+an object as its identity, a triple as its t, b and the identity of its Z
+under three keys.  The claims read the stored inputs back through an
+`Inputs` reader and yield (holds, detail) pairs in order; a trial fails on
+the first pair that does not hold.  `run_trial` gives that verdict for
+every trial: drawn, pinned or replayed.
 """
 
 from __future__ import annotations

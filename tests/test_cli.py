@@ -185,7 +185,7 @@ def test_eval_refuses_to_cut_a_thin_strand(tmp_path, capsys):
     path.write_text("instance rbord1\nobj X = pts{x}\nobj Z = pts{z}\n"
                     "mor f : X -> X = bord{x->x : 1}\nprint(trace_hat(cut(f * id(Z), 1/3)))\n")
     assert run_cli(capsys, "eval", str(path)) == (
-        2, "", f"{path}: the strand z -> z is an isometry strand of length 0;"
+        2, "", f"{path}:5:1: the strand z -> z is an isometry strand of length 0;"
                " only bordisms can be cut\n")
 
 
@@ -207,13 +207,17 @@ def test_eval_rejects_bad_numbers_with_a_position(tmp_path, capsys, program, lin
     assert (code, out, err) == (2, "", f"{path}:{line}\n")
 
 
-@pytest.mark.parametrize("q", ["1", "-1", "0"])
-def test_eval_rejects_bad_graded_q_at_the_header(tmp_path, capsys, q):
+@pytest.mark.parametrize("q, message", [
+    ("1", "q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)"),
+    ("-1", "q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)"),
+    ("0", "q must be nonzero"),
+], ids=["1", "-1", "0"])
+def test_eval_rejects_bad_graded_q_at_the_header(tmp_path, capsys, q, message):
     path = tmp_path / "bad_q.diag"
     path.write_text(f"# a comment line\ninstance graded(q={q})\nobj X = graded{{0: 1}}\n")
     code, out, err = run_cli(capsys, "eval", str(path))
     assert (code, out) == (2, "")
-    assert err == f"{path}:2:1: q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)\n"
+    assert err == f"{path}:2:1: {message}\n"
 
 
 def test_demo_partition(tmp_path, capsys):

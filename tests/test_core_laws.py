@@ -74,10 +74,8 @@ def test_capability_table():
     for iid in ("finvect", "supervect", "graded(q=2)"):
         inst = get_instance(iid)
         assert all(inst.provides(op) for op in OPTIONAL_OPS)
-        assert inst.has_dual(inst.unit_object())
     rb = get_instance("rbord1")
     assert not any(rb.provides(op) for op in OPTIONAL_OPS)
-    assert not rb.has_dual(rb.points(["x"]))
 
 
 def test_capability_invariants_enforced():
