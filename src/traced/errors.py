@@ -56,4 +56,3 @@ class ParseError(DslError):
 
 class TypecheckError(DslError):
     pass
-

@@ -264,10 +264,10 @@ def _gen_chain_objects(inst, rng: Stream, cfg: SuiteConfig, count: int, prefix: 
 def _draw_over(objects, triples=None, morphisms=None, cap=None):
     """The draw of one object per name in `objects`, then one `gen_triple`
     per `key: (dom, cod[, z prefix])` of `triples`, then one `gen_morphism`
-    per `key: (src, tgt)` of `morphisms`, named by the objects' names.
-    Objects and Z have at most min(cfg.max_dim, cap) basis vectors.  In
-    rbord1 the objects share one parity, so triples and morphisms exist
-    between any two, and each is labelled by its name; unlike
+    per `key: (src, tgt)` of `morphisms`; dom, cod, src and tgt are object
+    names.  Objects and Z have at most min(cfg.max_dim, cap) basis vectors.
+    In rbord1 the objects share one parity, so triples and morphisms exist
+    between any two, and each object's labels start with its name; unlike
     `_gen_chain_objects`, each size is drawn just before its points."""
     def draw(inst, cfg, rng):
         dim = cfg.max_dim if cap is None else min(cfg.max_dim, cap)
