@@ -13,8 +13,10 @@ from traced import (
 )
 from traced.bordism import IN, OUT, Bord, Iso
 from traced.core import Morphism
+from traced.dsl.evaluate import render_value
 from traced.errors import DomainMismatch, NotBordism, NotEndo
 from traced.gens import gen_bordism, gen_point_set, gen_triple, trial_stream
+from traced.serde import dump_value, load_value
 
 rb = get_instance("rbord1")
 
@@ -313,3 +315,49 @@ def test_zero_length_composites_collapse_to_isometries():
     out = rb.compose(g, f)
     assert isinstance(out.payload, Iso)
     assert out.payload.as_dict() == {"x": "z"}
+
+
+def _iso_dump(source, target, mapping):
+    return {"instance": "rbord1", "source": source, "target": target,
+            "kind": "iso-mor", "mapping": mapping}
+
+
+def _pinned_morphisms():
+    p, u = rb.points(["p"]), rb.points(["u"])
+    thin = rb.tensor(rb.identity(p), rb.identity(u))
+    pu = [["p", "p"], ["u", "u"]]
+    yield (rb.iso_mor(rb.points(["x"]), rb.points(["y"]), {"x": "y"}),
+           _iso_dump(["x"], ["y"], [["x", "y"]]), "iso{x->y}")
+    yield (rb.identity(rb.points(["a", "b"])),
+           _iso_dump(["a", "b"], ["a", "b"], [["a", "a"], ["b", "b"]]), "iso{a->a, b->b}")
+    yield rb.switching(p, u), _iso_dump(["p", "u"], ["u", "p"], pu), "iso{p->p, u->u}"
+    yield thin, _iso_dump(["p", "u"], ["p", "u"], pu), "iso{p->p, u->u}"
+    yield (rb.compose(rb.switching(p, u), thin),
+           _iso_dump(["p", "u"], ["u", "p"], pu), "iso{p->p, u->u}")
+    yield (rb.identity(rb.unit_object()),
+           {"instance": "rbord1", "source": [], "target": [], "kind": "bord-mor",
+            "arcs": [], "circles": []}, "bord{}")
+
+
+def test_isometries_serialize_and_print_pinned():
+    """Every all-thin morphism is written as `iso-mor` with its label
+    mapping and printed as iso{...}, whether built directly, by tensor or
+    by compose; the empty identity is the empty bordism.  Each reloads to
+    an equal morphism."""
+    for m, dumped, text in _pinned_morphisms():
+        assert dump_value(m) == dumped
+        assert render_value(rb, m) == text
+        assert load_value(dump_value(m)) == m
+
+
+def test_hybrid_serializes_and_prints_its_thin_strand():
+    """A bordism tensored with an identity keeps its strand of length 0 in
+    the written arcs; bord_mor refuses length 0, so it does not reload."""
+    hybrid = rb.tensor(rb.interval("x", "y", 1), rb.identity(rb.points(["u"])))
+    assert dump_value(hybrid) == {
+        "instance": "rbord1", "source": ["x", "u"], "target": ["y", "u"], "kind": "bord-mor",
+        "arcs": [[["in", "u"], ["out", "u"], "0"], [["in", "x"], ["out", "y"], "1"]],
+        "circles": []}
+    assert render_value(rb, hybrid) == "bord{u->u : 0, x->y : 1}"
+    with pytest.raises(DomainMismatch):
+        load_value(dump_value(hybrid))
