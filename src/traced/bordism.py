@@ -1,11 +1,20 @@
 """The 1-dimensional Riemannian bordism category.
 
 Objects are finite ordered sets of labelled points.  A morphism X -> Y is
-either an isometry (a bijection of labels) or a bordism: a perfect matching
-of the boundary (in-points of X and out-points of Y) by arcs carrying
-positive rational lengths, together with a multiset of free circles.  In
-dimension one the isometry class of a component is exactly its length, so
-this data is the whole morphism.
+a bordism: a perfect matching of the boundary (in-points of X and out-points
+of Y) by arcs carrying rational lengths, together with a multiset of free
+circles.  In dimension one the isometry class of a component is exactly its
+length, so this data is the whole morphism.
+
+A thin strand is an arc of length zero.  An isometry (a bijection of labels)
+is a morphism whose strands are all thin, each from an in-point to an
+out-point, with no circles; `Bord.isometry` reads its bijection back.  So
+every morphism has the one payload `Bord`, and one walk glues them all.
+`bord_mor` admits positive lengths only: thin strands come from `iso_mor`,
+`identity` and `switching`, and stay where such a morphism is tensored with
+a bordism.  `cut_thickener` and `glue_trace` refuse a morphism that carries
+a thin strand.  The identity of the empty set has no strands at all: it is
+the empty bordism, not an isometry.
 
 Composition glues along the shared boundary, adding lengths along each
 chain; chains that close up leave the boundary and become circles.  The
@@ -19,19 +28,12 @@ hat_comp_witness; the whiskered composites in thickened.py stay the
 reference, and the kernel.oracle.rbord1 suite checks each kernel against
 its composite on every generated input.
 
-The identity isometry of the empty set and the empty bordism are the same
-morphism; the canonical form stores it as the empty bordism.  Zero-length
-arcs never appear in user-built bordisms, but show up transiently when a
-bordism is tensored with an identity isometry; a composite whose arcs all
-have length zero collapses back to an isometry.  `cut_thickener` and
-`glue_trace` refuse a bordism that carries such a thin strand.
-
 Every length is a `rat`.  It becomes one once, where it enters: `bord_mor`,
 `circles_mor` and the cut fraction of `cut_thickener` convert whatever they
 are given, and nothing else converts a length again.  `compose`, `tensor`,
 `glue_trace` and the gluing kernels reuse the `rat` objects of their
-operands, making a new one only for a sum.  An isometry strand seen as an
-arc carries the one shared zero `_ZERO`, which chain sums skip.
+operands, making a new one only for a sum.  A thin strand carries the one
+shared zero `_ZERO`, which chain sums skip.
 """
 
 from __future__ import annotations
@@ -105,20 +107,16 @@ class Bord:
         canon.sort()
         return Bord(tuple(canon), tuple(sorted(c if type(c) is rat else rat(c) for c in circles)))
 
-
-@dataclass(frozen=True)
-class Iso:
-    """A bijection of point labels, stored as pairs sorted by source label."""
-
-    mapping: tuple
-
-    @staticmethod
-    def make(pairs):
-        """`pairs` of label strings, as `points` and `iso_mor` make them."""
-        return Iso(tuple(sorted(pairs)))
-
-    def as_dict(self):
-        return dict(self.mapping)
+    @property
+    def isometry(self):
+        """The (source, target) label pairs, sorted by source, when every
+        strand is thin: at least one arc, no circles, and every arc of length
+        0 from an in-point to an out-point.  None otherwise."""
+        if self.circles or not self.arcs:
+            return None
+        if any(l or a[0] != IN or b[0] != OUT for (a, b, l) in self.arcs):
+            return None
+        return tuple((a[1], b[1]) for (a, b, _l) in self.arcs)
 
 
 class RBord1(CategoryInstance):
@@ -145,19 +143,10 @@ class RBord1(CategoryInstance):
 
     # morphism builders -------------------------------------------------------
 
-    def _normalize(self, src: ObjectRef, tgt: ObjectRef, payload) -> Morphism:
-        if isinstance(payload, Iso):
-            if not src.payload and not tgt.payload:
-                payload = Bord.make(())
-        else:
-            if (
-                not payload.circles
-                and payload.arcs
-                and not any(l for (_a, _b, l) in payload.arcs)
-                and all(a[0] == IN and b[0] == OUT for (a, b, _l) in payload.arcs)
-            ):
-                payload = Iso.make((a[1], b[1]) for (a, b, _l) in payload.arcs)
-        return Morphism(self.instance_id, src, tgt, payload)
+    def _thin(self, src: ObjectRef, tgt: ObjectRef, pairs) -> Morphism:
+        """One thin strand from in-point a to out-point b per pair (a, b)."""
+        arcs = [((IN, a), (OUT, b), _ZERO) for (a, b) in pairs]
+        return Morphism(self.instance_id, src, tgt, Bord.make(arcs))
 
     def iso_mor(self, src: ObjectRef, tgt: ObjectRef, mapping: dict) -> Morphism:
         self._own_obj(src)
@@ -167,7 +156,7 @@ class RBord1(CategoryInstance):
             raise DomainMismatch("isometry must be a bijection of the point labels")
         if len(set(mapping.values())) != len(mapping):
             raise DomainMismatch("isometry mapping is not injective")
-        return self._normalize(src, tgt, Iso.make(mapping.items()))
+        return self._thin(src, tgt, mapping.items())
 
     def bord_mor(self, src: ObjectRef, tgt: ObjectRef, arcs, circles=()) -> Morphism:
         """Bordism from explicit arcs ((side,label),(side,label),length)."""
@@ -195,7 +184,7 @@ class RBord1(CategoryInstance):
         circles = [c if type(c) is rat else rat(c) for c in circles]
         if any(c <= 0 for c in circles):
             raise DomainMismatch("circle length must be positive")
-        return self._normalize(src, tgt, Bord.make(canon, circles))
+        return Morphism(self.instance_id, src, tgt, Bord.make(canon, circles))
 
     def interval(self, x: str, y: str, length) -> Morphism:
         """The interval of the given length from point x to point y."""
@@ -210,27 +199,17 @@ class RBord1(CategoryInstance):
 
     def identity(self, x: ObjectRef) -> Morphism:
         self._own_obj(x)
-        return self._normalize(x, x, Iso.make((p, p) for p in x.payload))
+        return self._thin(x, x, ((p, p) for p in x.payload))
 
     def switching(self, x: ObjectRef, y: ObjectRef) -> Morphism:
         src = self.tensor_obj(x, y)
         tgt = self.tensor_obj(y, x)
-        return self._normalize(src, tgt, Iso.make((p, p) for p in src.payload))
-
-    @staticmethod
-    def _arc_form(f: Morphism):
-        if isinstance(f.payload, Bord):
-            return f.payload.arcs, f.payload.circles
-        return tuple(((IN, a), (OUT, b), _ZERO) for (a, b) in f.payload.mapping), ()
+        return self._thin(src, tgt, ((p, p) for p in src.payload))
 
     def compose(self, g: Morphism, f: Morphism) -> Morphism:
         """Glue f then g along their shared boundary, adding arc lengths;
         chains that close up become circles."""
         self.check_composable(g, f)
-        if isinstance(f.payload, Iso) and isinstance(g.payload, Iso):
-            fm, gm = f.payload.as_dict(), g.payload.as_dict()
-            return self._normalize(f.source, g.target,
-                                   Iso.make((a, gm[b]) for (a, b) in fm.items()))
         return self._glue(f.source, g.target, f, g, f.target.payload)
 
     def _glue(self, src: ObjectRef, tgt: ObjectRef, lower: Morphism, upper: Morphism,
@@ -241,9 +220,8 @@ class RBord1(CategoryInstance):
         label.  compose glues along all of lower's target."""
         # upper's arc ends are retagged "gin"/"gout" so that they cannot
         # collide with lower's, even where src and tgt share labels
-        low_arcs, low_circ = self._arc_form(lower)
-        up_arcs, up_circ = self._arc_form(upper)
-        up_arcs = [((_G_TAG[a[0]], a[1]), (_G_TAG[b[0]], b[1]), l) for (a, b, l) in up_arcs]
+        low, up = lower.payload, upper.payload
+        up_arcs = [((_G_TAG[a[0]], a[1]), (_G_TAG[b[0]], b[1]), l) for (a, b, l) in up.arcs]
         glue = {}
         for m in seam:
             glue[(OUT, m)] = ("gin", m)
@@ -252,18 +230,18 @@ class RBord1(CategoryInstance):
         outer.update({(OUT, y): (OUT, y) for y in lower.target.payload if (OUT, y) not in glue})
         outer.update({("gin", x): (IN, x) for x in upper.source.payload if ("gin", x) not in glue})
         outer.update({("gout", y): (OUT, y) for y in upper.target.payload})
-        opened, closed = _chains((*low_arcs, *up_arcs), glue, outer)
+        opened, closed = _chains((*low.arcs, *up_arcs), glue, outer)
         arcs = [(outer[start], outer[end], total) for (start, end, total) in opened]
-        return self._normalize(src, tgt, Bord.make(arcs, [*low_circ, *up_circ, *closed]))
+        circles = [*low.circles, *up.circles, *closed]
+        return Morphism(self.instance_id, src, tgt, Bord.make(arcs, circles))
 
     def tensor(self, f: Morphism, g: Morphism) -> Morphism:
         self._own_mor(f)
         self._own_mor(g)
         src = self.tensor_obj(f.source, g.source)
         tgt = self.tensor_obj(f.target, g.target)
-        fa, fc = self._arc_form(f)
-        ga, gc = self._arc_form(g)
-        return self._normalize(src, tgt, Bord.make(fa + ga, fc + gc))
+        payload = Bord.make(f.payload.arcs + g.payload.arcs, f.payload.circles + g.payload.circles)
+        return Morphism(self.instance_id, src, tgt, payload)
 
     def disjoint_copy(self, x: ObjectRef, avoid=()):
         taken = set(x.payload)
@@ -339,7 +317,7 @@ class RBord1(CategoryInstance):
         from .thickened import ThickTriple
 
         self._own_mor(sigma)
-        if not isinstance(sigma.payload, Bord):
+        if sigma.payload.isometry is not None:
             raise NotBordism("isometries are thin; only bordisms can be cut")
         _refuse_thin_strand(sigma, "cut")
         r = cut_fraction if type(cut_fraction) is rat else rat(cut_fraction)
@@ -385,7 +363,7 @@ class RBord1(CategoryInstance):
         """Close an endomorphism bordism by identifying its in- and
         out-copies of X; the result is a disjoint union of circles."""
         self._own_mor(sigma)
-        if not isinstance(sigma.payload, Bord):
+        if sigma.payload.isometry is not None:
             raise NotBordism("only bordisms can be glued up")
         _refuse_thin_strand(sigma, "glued up")
         if sigma.source != sigma.target:

@@ -41,11 +41,11 @@ class EvalReport:
 def render_value(inst, m) -> str:
     """Human-readable canonical form of a morphism value."""
     if inst.instance_id == "rbord1":
-        from ..bordism import IN, Iso
+        from ..bordism import IN
 
-        if isinstance(m.payload, Iso):
-            inner = ", ".join(f"{a}->{b}" for a, b in m.payload.mapping)
-            return "iso{" + inner + "}"
+        pairs = m.payload.isometry
+        if pairs is not None:
+            return "iso{" + ", ".join(f"{a}->{b}" for a, b in pairs) + "}"
         parts = []
         for (a, b, l) in m.payload.arcs:
             if a[0] == IN and b[0] != IN:

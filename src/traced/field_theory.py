@@ -9,9 +9,9 @@ n_1, ..., n_k, taken in source-label order, evaluates to
 
 where E(circles) is the 1x1 matrix holding the product of classtr(A^n)
 over the free circles, and P is the permutation of tensor factors that
-carries each in-point's factor to the out-point its arc ends at.  An
-isometry is P alone.  A zero-length arc, which tensoring a bordism with an
-isometry leaves behind, contributes A^0 = I.  Arcs must join an in-point
+carries each in-point's factor to the out-point its arc ends at.  Thin
+strands, the zero-length arcs of an isometry, give A^0 = I, so an isometry
+evaluates to P.  Arcs must join an in-point
 to an out-point: a cap or cup traversal would need A to equal its own
 transpose, so evaluation on such bordisms is refused rather than silently
 wrong.
@@ -19,7 +19,7 @@ wrong.
 
 from __future__ import annotations
 
-from .bordism import IN, OUT, Iso
+from .bordism import IN, OUT
 from .core import Morphism, get_instance
 from .errors import DirectedBordismRequired, DomainMismatch, NonIntegerLength
 from .matrices import RatMatrix
@@ -61,9 +61,6 @@ class FieldTheory:
         if f.instance_id != "rbord1":
             raise DomainMismatch("field theory evaluates 1-d bordism morphisms")
         src_labels, tgt_labels = f.source.payload, f.target.payload
-        if isinstance(f.payload, Iso):
-            mat = self._permutation(src_labels, tgt_labels, f.payload.as_dict())
-            return self.vect.mor(self.obj(f.source), self.obj(f.target), mat)
         scalar = rat(1)
         for c in f.payload.circles:
             scalar *= self.circle_value(c)

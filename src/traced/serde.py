@@ -5,7 +5,9 @@ package.  Suites also draw objects and triples, but the suite codec
 triple as its t, its b and the identity of its Z.  So a stored value is a
 morphism, a rational or a corpus string, of one of five kinds:
 `matrix-mor`, `iso-mor`, `bord-mor`, `rat` (a "p/q" string) and `str`.
-Any other value or kind raises TypeError.
+`iso-mor` is how an rbord1 morphism whose strands are all thin, an
+isometry, is written: its label mapping alone.  Any other value or kind
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -37,18 +39,19 @@ def _dump_morphism(m: Morphism):
         base["cols"] = m.payload.cols
         base["entries"] = {f"{i},{j}": rat_str(v) for (i, j), v in sorted(m.payload.entries.items())}
         return base
-    from .bordism import Bord, Iso
+    from .bordism import Bord
 
-    if isinstance(m.payload, Iso):
+    if not isinstance(m.payload, Bord):
+        raise TypeError(f"cannot serialize morphism payload {type(m.payload)!r}")
+    pairs = m.payload.isometry
+    if pairs is not None:
         base["kind"] = "iso-mor"
-        base["mapping"] = [list(p) for p in m.payload.mapping]
-        return base
-    if isinstance(m.payload, Bord):
+        base["mapping"] = [list(p) for p in pairs]
+    else:
         base["kind"] = "bord-mor"
         base["arcs"] = [[list(a), list(b), rat_str(l)] for (a, b, l) in m.payload.arcs]
         base["circles"] = [rat_str(c) for c in m.payload.circles]
-        return base
-    raise TypeError(f"cannot serialize morphism payload {type(m.payload)!r}")
+    return base
 
 
 def load_value(data):

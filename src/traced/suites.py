@@ -45,7 +45,6 @@ from .gens import (
     gen_triple,
     trial_stream,
 )
-from .bordism import Bord
 from .matrices import RatMatrix
 from .thickened import (
     ThickTriple,
@@ -825,7 +824,7 @@ def crossing_regression(inst, inputs):
 def bord_thick(inst, inputs):
     tr = inputs.triple("{}", *inputs.obj("x", "y"))
     value = psi(tr)
-    yield isinstance(value.payload, Bord), "psi produced an isometry"
+    yield value.payload.isometry is None, "psi produced an isometry"
     yield all(l > 0 for (_a, _b, l) in value.payload.arcs), "psi produced a thin arc"
 
 

@@ -165,8 +165,7 @@ def pre_compose_gluing_drops_f_circles(patch):
     kernel = RBord1.pre_compose_kernel
 
     def forgetful(self, tr, f):
-        if isinstance(f.payload, Bord):
-            f = dataclasses.replace(f, payload=Bord(f.payload.arcs, ()))
+        f = dataclasses.replace(f, payload=Bord(f.payload.arcs, ()))
         return kernel(self, tr, f)
 
     patch(RBord1, "pre_compose_kernel", forgetful)
@@ -178,9 +177,8 @@ def post_compose_gluing_skips_f_lengths(patch):
     kernel = RBord1.post_compose_kernel
 
     def thin(self, f, tr):
-        if isinstance(f.payload, Bord):
-            arcs = tuple((a, b, bordism._ZERO) for (a, b, _l) in f.payload.arcs)
-            f = dataclasses.replace(f, payload=Bord(arcs, f.payload.circles))
+        arcs = tuple((a, b, bordism._ZERO) for (a, b, _l) in f.payload.arcs)
+        f = dataclasses.replace(f, payload=Bord(arcs, f.payload.circles))
         return kernel(self, f, tr)
 
     patch(RBord1, "post_compose_kernel", thin)
@@ -298,7 +296,9 @@ def load_tool():
 
 def test_mutants_tool_refuses_no_trials_and_reports_a_kill(capsys):
     """With no trials every mutant would survive, which reads like a real
-    survivor's exit 1, so `--trials 0` is refused with exit 2."""
+    survivor's exit 1, so `--trials 0` is refused with exit 2.  A crash is
+    named by its cause: the DSL corpus rewraps the error of a step as
+    DslError, and the row names the error it wraps."""
     tool = load_tool()
     with pytest.raises(SystemExit) as exc:
         tool.main(["--trials", "0"])
@@ -308,3 +308,7 @@ def test_mutants_tool_refuses_no_trials_and_reports_a_kill(capsys):
     row = [line for line in capsys.readouterr().out.splitlines()
            if line.startswith("| `koszul_sign_dropped` |")]
     assert len(row) == 1 and "`dual.trace.supervect`" in row[0]
+    tool.main(["--trials", "1", "tr_hat_braids"])
+    row = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("| `tr_hat_braids` |")]
+    assert len(row) == 1 and "`dsl.corpus` CapabilityMissing" in row[0]

@@ -42,13 +42,15 @@ def load_catalogue():
 
 
 def run_all(cfg):
-    """{suite id: (failures, counterexamples found)} or the exception type name."""
+    """{suite id: (failures, counterexamples found)} or the type name of the
+    exception's cause (the exception itself if it has none): a crash that the
+    DSL rewraps as DslError is named by what it wraps."""
     out = {}
     for sid, suite in REGISTRY.items():
         try:
             res = run_one(suite, cfg)
-        except Exception as exc:  # a crash is recorded, not a kill
-            out[sid] = type(exc).__name__
+        except Exception as exc:  # a crash is recorded, not a kill, by its cause
+            out[sid] = type(exc.__cause__ or exc).__name__
         else:
             out[sid] = (res.failures, res.counterexamples_found)
     return out
