@@ -11,10 +11,9 @@ where E(circles) is the 1x1 matrix holding the product of classtr(A^n)
 over the free circles, and P is the permutation of tensor factors that
 carries each in-point's factor to the out-point its arc ends at.  Thin
 strands, the zero-length arcs of an isometry, give A^0 = I, so an isometry
-evaluates to P.  Arcs must join an in-point
-to an out-point: a cap or cup traversal would need A to equal its own
-transpose, so evaluation on such bordisms is refused rather than silently
-wrong.
+evaluates to P.  Arcs must join an in-point to an out-point: a cap or cup
+traversal would need A to equal its own transpose, so evaluation on such
+bordisms is refused rather than silently wrong.
 """
 
 from __future__ import annotations
