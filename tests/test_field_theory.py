@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from traced import canonical_thickener, field_theory, get_instance, rat, trace_pairing
@@ -133,3 +135,39 @@ def test_circles_inside_bordisms_multiply():
     m = e(seg)
     # the free circle scales the whole operator by classtr(A^2) = 13
     assert m.payload == RatMatrix.from_rows([[26, 0], [0, 39]])
+
+
+# sha256 of repr([(rows, cols, den, sorted(num.items())) of every E(f).payload])
+# over the inputs of `_pinned_evaluations`, recorded when E still multiplied a
+# permutation matrix into the Kronecker product of the strand powers.
+E_PAYLOADS_SHA256 = "64fef6783c3bf13335e413e6f34b82196d826847775fae10739433b50e9a7750"
+
+PIN_MATRICES = (
+    [[rat(-2, 3)]],
+    [[1, rat(1, 2)], [0, -3]],
+    [[0, 1, rat(2, 3)], [rat(-1, 2), 0, 0], [1, 2, 0]],
+)
+
+
+def _pinned_evaluations():
+    """Directed integer bordisms on 0-3 points, each beside thin strands and
+    followed by a switching, and isometries, under three transfer matrices."""
+    theories = [field_theory(a) for a in PIN_MATRICES]
+    for t in range(12):
+        rng = trial_stream(24, "functor-pin", t)
+        n = rng.randint(0, 3)
+        x = gen_point_set(rb, rng, n, prefix="x")
+        y = gen_point_set(rb, rng, n, prefix="y")
+        u = gen_point_set(rb, rng, rng.randint(1, 2), prefix="u")
+        f = gen_bordism(rb, x, y, rng, integer=True, directed=True, max_circles=1)
+        hybrid = rb.tensor(f, rb.identity(u))
+        iso = rb.iso_mor(x, y, dict(zip(x.payload, rng.shuffle(y.payload))))
+        for mor in (f, hybrid, rb.compose(rb.switching(y, u), hybrid), iso):
+            for e in theories:
+                m = e(mor).payload
+                yield (m.rows, m.cols, m.den, sorted(m.num.items()))
+
+
+def test_evaluations_pinned():
+    text = repr(list(_pinned_evaluations()))
+    assert hashlib.sha256(text.encode()).hexdigest() == E_PAYLOADS_SHA256
