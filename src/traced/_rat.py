@@ -10,6 +10,7 @@ scalar crosses the API, serde or DSL boundary.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction as rat
 
 # The form `rat_str` writes: ASCII digits, an optional sign, no exponent.
@@ -17,8 +18,25 @@ _RAT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_str(x) -> str:
-    """Canonical string form: "p" or "p/q" with q > 0."""
-    return str(x)
+    """Canonical string form: "p" or "p/q" with q > 0, written in full even
+    past Python's limit on int-to-str digits."""
+    try:
+        return str(x)
+    except ValueError:
+        x = rat(x)
+        den = "" if x.denominator == 1 else "/" + _int_str(x.denominator)
+        return _int_str(x.numerator) + den
+
+
+def _int_str(n: int) -> str:
+    """`str(n)` for an int past the digit limit, in chunks of k digits."""
+    k = sys.get_int_max_str_digits() // 2
+    sign = "-" if n < 0 else ""
+    n, base, chunks = abs(n), 10 ** k, []
+    while n:
+        n, low = divmod(n, base)
+        chunks.append(low)
+    return sign + str(chunks.pop()) + "".join(f"{c:0{k}d}" for c in reversed(chunks))
 
 
 def parse_rat(text: str):

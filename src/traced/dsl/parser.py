@@ -11,13 +11,16 @@
 Items are declarations or commands.  Every builtin form, a command or a
 term, object or triple form, is `name "(" arg {"," arg} ")"` read from its
 FORMS entry.  `#` starts a line comment.  Numbers are unsigned rationals
-INT[/INT] in ASCII digits with a nonzero denominator; a leading "-" is
-parsed where signed values are legal (matrix entries, graded degrees).
+INT[/INT] in ASCII digits with a nonzero denominator, each INT of at most
+sys.get_int_max_str_digits() digits (4300 by default; 0 means no limit).
+A leading "-" is parsed where signed values are legal (matrix entries,
+graded degrees).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from ..errors import LexError, ParseError
 from . import ast
@@ -79,6 +82,7 @@ class Token:
 
 def tokenize(text: str):
     tokens = []
+    max_digits = sys.get_int_max_str_digits()  # 0: no limit
     line, line_start, pos = 1, 0, 0
     for piece in _PIECE.findall(text):
         first, col = piece[0], pos - line_start + 1
@@ -92,6 +96,8 @@ def tokenize(text: str):
         elif "0" <= first <= "9":
             if "/" in piece and not piece.partition("/")[2].strip("0"):
                 raise LexError(f"zero denominator in {piece}", line, col)
+            if max_digits and max(map(len, piece.split("/"))) > max_digits:
+                raise LexError(f"number has more than {max_digits} digits", line, col)
             tokens.append(Token("number", piece, line, col))
         elif first in _SYMBOLS:
             tokens.append(Token("symbol", piece, line, col))

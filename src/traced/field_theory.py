@@ -3,27 +3,30 @@
 The exact functor E assigns the same rational vector space Q^d to every
 point, so E(X) = Q^(d^|X|), and is monoidal: disjoint union goes to the
 Kronecker product.  A bordism f: X -> Y whose arcs have integer lengths
-n_1, ..., n_k, taken in source-label order, evaluates to
+n_1, ..., n_k, taken in source-label order, has the Kronecker product
 
-    E(f) = P @ (E(circles) (x) A^(n_1) (x) ... (x) A^(n_k)),
+    K = E(circles) (x) A^(n_1) (x) ... (x) A^(n_k),
 
 where E(circles) is the 1x1 matrix holding the product of classtr(A^n)
-over the free circles, and P is the permutation of tensor factors that
-carries each in-point's factor to the out-point its arc ends at.  Thin
-strands, the zero-length arcs of an isometry, give A^0 = I, so an isometry
-evaluates to P.  Arcs must join an in-point to an out-point: a cap or cup
+over the free circles.  Row r of K belongs to the basis tensor whose digits
+are read in source order; E(f) is K with each row moved to the index of the
+same digits read in target order, each factor at the position of the
+out-point its arc ends at.  Thin strands, the zero-length arcs of an
+isometry, give A^0 = I, so an isometry evaluates to a permutation of tensor
+factors.  Arcs must join an in-point to an out-point: a cap or cup
 traversal would need A to equal its own transpose, so evaluation on such
 bordisms is refused rather than silently wrong.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .bordism import IN, OUT
 from .core import Morphism, get_instance
 from .errors import DirectedBordismRequired, DomainMismatch, NonIntegerLength
 from .matrices import RatMatrix
 from .thickened import canonical_thickener, trace_pairing
-from ._rat import rat
 
 
 class FieldTheory:
@@ -59,22 +62,23 @@ class FieldTheory:
     def __call__(self, f: Morphism) -> Morphism:
         if f.instance_id != "rbord1":
             raise DomainMismatch("field theory evaluates 1-d bordism morphisms")
-        src_labels, tgt_labels = f.source.payload, f.target.payload
-        scalar = rat(1)
-        for c in f.payload.circles:
-            scalar *= self.circle_value(c)
-        mapping, powers = {}, {}
+        scalar = prod(self.circle_value(c) for c in f.payload.circles)
+        d, n = self.d, len(f.target.payload)
+        weight = {lab: d ** (n - 1 - pos) for pos, lab in enumerate(f.target.payload)}
+        strands = {}
         for (a, b, l) in f.payload.arcs:
             if a[0] != IN or b[0] != OUT:
                 raise DirectedBordismRequired(
                     f"arc {a} -- {b} does not run from an in-point to an out-point"
                 )
-            mapping[a[1]] = b[1]
-            powers[a[1]] = self.power(self._int_length(l) if l else 0)
-        factors = RatMatrix(1, 1, {(0, 0): scalar})
-        for x in src_labels:
-            factors = factors.kron(powers[x])
-        mat = self._permutation(src_labels, tgt_labels, mapping) @ factors
+            strands[a[1]] = (weight[b[1]], self.power(self._int_length(l) if l else 0))
+        k, rows = RatMatrix(1, 1, {(0, 0): scalar}), [0]
+        for x in f.source.payload:
+            step, power = strands[x]
+            k = k.kron(power)
+            rows = [r + i * step for r in rows for i in range(d)]
+        ent = {(rows[i], j): v for (i, j), v in k.num.items()}
+        mat = RatMatrix(k.rows, k.cols, ent, k.den)
         return self.vect.mor(self.obj(f.source), self.obj(f.target), mat)
 
     def partition(self, s1: Morphism, s2: Morphism):
@@ -86,37 +90,8 @@ class FieldTheory:
         paired = self.vect.scalar_value(trace_pairing(canonical_thickener(self(s2)), self(s1)))
         return closed, paired
 
-    def _permutation(self, src_labels, tgt_labels, mapping) -> RatMatrix:
-        n = len(src_labels)
-        d = self.d
-        tgt_pos = {lab: k for k, lab in enumerate(tgt_labels)}
-        ent = {}
-        for col in range(d ** n):
-            digits = _digits(col, d, n)
-            out = [0] * n
-            for i, lab in enumerate(src_labels):
-                out[tgt_pos[mapping[lab]]] = digits[i]
-            ent[(_undigits(out, d), col)] = 1
-        return RatMatrix(d ** n, d ** n, ent)
-
 
 def field_theory(a) -> FieldTheory:
     if not isinstance(a, RatMatrix):
         a = RatMatrix.from_rows(a)
     return FieldTheory(a)
-
-
-def _digits(value: int, base: int, width: int):
-    out = [0] * width
-    for i in range(width - 1, -1, -1):
-        out[i] = value % base
-        value //= base
-    return out
-
-
-def _undigits(digits, base: int) -> int:
-    value = 0
-    for dgt in digits:
-        value = value * base + dgt
-    return value
-

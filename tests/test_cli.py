@@ -3,11 +3,14 @@ import dataclasses
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
 from traced import parse_rat, rat
+from traced._rat import rat_str
 from traced.cli import main
+from traced.dsl.parser import tokenize
 from traced.serde import load_value
 from traced.suites import REGISTRY
 
@@ -220,6 +223,51 @@ def test_eval_rejects_bad_graded_q_at_the_header(tmp_path, capsys, q, message):
     assert err == f"{path}:2:1: {message}\n"
 
 
+@pytest.mark.parametrize("command, out", [
+    ("print(theta(L))", None),
+    ("assert_equal(theta(L), theta(L))", "line 3: assert ok\n"),
+], ids=["print", "assert_equal"])
+def test_eval_writes_values_past_the_int_digit_limit(tmp_path, capsys, command, out):
+    """theta(L) on graded{120: 1} at q = 2 is [[2^14400]], 4335 digits, more
+    than Python writes through str() by default; it is written in full."""
+    path = tmp_path / "big.diag"
+    path.write_text(f"instance graded(q=2)\nobj L = graded{{120: 1}}\n{command}\n")
+    code, printed, err = run_cli(capsys, "eval", str(path))
+    assert (code, err) == (0, "")
+    if out is None:
+        entry = printed.strip("[]\n")
+        assert len(entry) == 4335 and entry.isdigit()
+        assert int(entry[:40]) == 2 ** 14400 // 10 ** 4295
+        assert int(entry[-40:]) == pow(2, 14400, 10 ** 40)
+    else:
+        assert printed == out
+
+
+@pytest.mark.parametrize("program, line", [
+    ("instance finvect\nobj X = 1\nmor f : X -> X = [[{n}]]\nprint(f)\n", "3:20"),
+    ("instance finvect\nobj X = {n}\nprint(id(X))\n", "2:9"),
+], ids=["matrix-entry", "object-dim"])
+def test_eval_refuses_a_number_past_the_int_digit_limit(tmp_path, capsys, program, line):
+    path = tmp_path / "big.diag"
+    path.write_text(program.format(n="9" * 5000))
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "eval", str(path)) == (
+        2, "", f"{path}:{line}: number has more than {limit} digits\n")
+
+
+def test_rat_str_matches_str_without_the_digit_limit():
+    values = [rat(0), rat(-7), rat(3, 8), rat(-2 ** 20000), rat(10 ** 4400),
+              rat(3 ** 9000, 7 ** 5000), rat(-1, 10 ** 5000 - 1)]
+    written = [rat_str(v) for v in values]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert written == [str(v) for v in values]
+        assert tokenize("9" * 5000)[0].kind == "number"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_demo_partition(tmp_path, capsys):
     matrix = tmp_path / "a.json"
     matrix.write_text('[["1", "1"], ["0", "1"]]')
@@ -244,6 +292,20 @@ def test_demo_partition_swap_matrix(tmp_path, capsys):
                            "--length", "3")
     assert code == 0
     assert ": 0" in out  # classtr(A^3) = 0 for the swap matrix
+
+
+def test_demo_partition_writes_sides_past_the_int_digit_limit(tmp_path, capsys):
+    """classtr(A^10000) = 2^10000 + 3^10000 has 4772 digits."""
+    matrix = tmp_path / "d.json"
+    matrix.write_text("[[2, 0], [0, 3]]")
+    code, out, err = run_cli(capsys, "demo", "partition", "--matrix", str(matrix),
+                             "--length", "10000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    closed, paired = (line.rpartition(" : ")[2] for line in lines[1:3])
+    assert closed == paired and len(closed) == 4772
+    assert int(closed[-40:]) == (pow(2, 10000, 10 ** 40) + pow(3, 10000, 10 ** 40)) % 10 ** 40
+    assert lines[3] == "  identity holds exactly"
 
 
 def test_demo_partition_identity_any_length(tmp_path, capsys):
