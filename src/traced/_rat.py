@@ -10,7 +10,7 @@ scalar crosses the API, serde or DSL boundary.
 from __future__ import annotations
 
 import re
-import sys
+from decimal import Decimal
 from fractions import Fraction as rat
 
 # The form `rat_str` writes: ASCII digits, an optional sign, no exponent.
@@ -18,25 +18,14 @@ _RAT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_str(x) -> str:
-    """Canonical string form: "p" or "p/q" with q > 0, written in full even
-    past Python's limit on int-to-str digits."""
+    """Canonical string form: "p" or "p/q" with q > 0.  An int past Python's
+    limit on int-to-str digits is written through Decimal, which has none."""
     try:
         return str(x)
     except ValueError:
         x = rat(x)
-        den = "" if x.denominator == 1 else "/" + _int_str(x.denominator)
-        return _int_str(x.numerator) + den
-
-
-def _int_str(n: int) -> str:
-    """`str(n)` for an int past the digit limit, in chunks of k digits."""
-    k = sys.get_int_max_str_digits() // 2
-    sign = "-" if n < 0 else ""
-    n, base, chunks = abs(n), 10 ** k, []
-    while n:
-        n, low = divmod(n, base)
-        chunks.append(low)
-    return sign + str(chunks.pop()) + "".join(f"{c:0{k}d}" for c in reversed(chunks))
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 def parse_rat(text: str):
