@@ -80,9 +80,10 @@ def _chains(arcs, glue, ends=()):
 
 
 def _refuse_thin_strand(sigma, action: str):
-    """Refuse a bordism that carries an isometry strand, the zero-length arc
-    that tensoring with an isometry leaves behind: it has no collar to cut,
-    and gluing it up could close a circle of length zero."""
+    """Refuse a morphism that carries an isometry strand, the zero-length arc
+    that an isometry is made of and that tensoring with one leaves behind:
+    it has no collar to cut, and gluing it up could close a circle of length
+    zero.  The first such strand is named."""
     for (a, b, l) in sigma.payload.arcs:
         if not l:
             raise NotBordism(f"the strand {a[1]} -> {b[1]} is an isometry strand of length 0;"
@@ -317,8 +318,6 @@ class RBord1(CategoryInstance):
         from .thickened import ThickTriple
 
         self._own_mor(sigma)
-        if sigma.payload.isometry is not None:
-            raise NotBordism("isometries are thin; only bordisms can be cut")
         _refuse_thin_strand(sigma, "cut")
         r = cut_fraction if type(cut_fraction) is rat else rat(cut_fraction)
         if not (0 < r < 1):
@@ -363,8 +362,6 @@ class RBord1(CategoryInstance):
         """Close an endomorphism bordism by identifying its in- and
         out-copies of X; the result is a disjoint union of circles."""
         self._own_mor(sigma)
-        if sigma.payload.isometry is not None:
-            raise NotBordism("only bordisms can be glued up")
         _refuse_thin_strand(sigma, "glued up")
         if sigma.source != sigma.target:
             raise NotEndo("gluing requires an endomorphism bordism")

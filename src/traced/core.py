@@ -153,9 +153,8 @@ class CategoryInstance:
         self._own_mor(g)
         self._own_mor(f)
         if f.target != g.source:
-            raise DomainMismatch(
-                f"cannot compose: inner target {f.target.payload!r} != outer source {g.source.payload!r}"
-            )
+            raise DomainMismatch(f"cannot compose: inner target {f.target.payload!r}"
+                                 f" != outer source {g.source.payload!r}")
 
     def is_scalar(self, f: Morphism) -> bool:
         unit = self.unit_object()

@@ -12,7 +12,9 @@ from ..core import get_instance
 from ..errors import DslError, TracedError
 from .._rat import rat_str
 from . import ast
-from .typecheck import TypedProgram
+from .typecheck import BORD_ENDS, TypedProgram
+
+_KIND_OF_ENDS = {ends: kind for kind, ends in BORD_ENDS.items()}
 
 
 @dataclass
@@ -39,21 +41,18 @@ class EvalReport:
 
 
 def render_value(inst, m) -> str:
-    """Human-readable canonical form of a morphism value."""
+    """A morphism value in the literal syntax: `iso{...}` when every strand
+    is thin, else `bord{...}` with each arc written as the entry kind of its
+    ends; a scalar as its one entry, any other matrix as its rows."""
     if inst.instance_id == "rbord1":
-        from ..bordism import IN
-
         pairs = m.payload.isometry
         if pairs is not None:
             return "iso{" + ", ".join(f"{a}->{b}" for a, b in pairs) + "}"
         parts = []
         for (a, b, l) in m.payload.arcs:
-            if a[0] == IN and b[0] != IN:
-                parts.append(f"{a[1]}->{b[1]} : {rat_str(l)}")
-            elif a[0] == IN:
-                parts.append(f"cap {a[1]} {b[1]} : {rat_str(l)}")
-            else:
-                parts.append(f"cup {a[1]} {b[1]} : {rat_str(l)}")
+            kind = _KIND_OF_ENDS[a[0], b[0]]
+            ends = f"{a[1]}->{b[1]}" if kind == "arc" else f"{kind} {a[1]} {b[1]}"
+            parts.append(f"{ends} : {rat_str(l)}")
         parts.extend(f"loop: {rat_str(c)}" for c in m.payload.circles)
         return "bord{" + ", ".join(parts) + "}"
     mat = m.payload

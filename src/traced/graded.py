@@ -30,7 +30,8 @@ class GradedVect(MatrixCategory):
         if not q:
             raise ValueError("q must be nonzero")
         if q * q == 1:
-            raise ValueError("q must be a rational with q^2 != 1 (keeps the braiding non-symmetric)")
+            raise ValueError("q must be a rational with q^2 != 1"
+                             " (keeps the braiding non-symmetric)")
         self.q = q
         self.instance_id = f"graded(q={rat_str(q)})"
 

@@ -37,7 +37,8 @@ def _dump_morphism(m: Morphism):
         base["kind"] = "matrix-mor"
         base["rows"] = m.payload.rows
         base["cols"] = m.payload.cols
-        base["entries"] = {f"{i},{j}": rat_str(v) for (i, j), v in sorted(m.payload.entries.items())}
+        base["entries"] = {f"{i},{j}": rat_str(v)
+                           for (i, j), v in sorted(m.payload.entries.items())}
         return base
     from .bordism import Bord
 

@@ -67,12 +67,22 @@ class MatrixCategory(CategoryInstance):
     # object and morphism builders ---------------------------------------
 
     def obj(self, degrees) -> ObjectRef:
-        return ObjectRef(self.instance_id, tuple(int(d) for d in degrees))
+        """The object with these int degrees, kept as given (not reduced)."""
+        degrees = tuple(degrees)
+        for d in degrees:
+            if type(d) is not int:
+                raise TypeError(f"a degree must be an int, got {d!r}")
+        return ObjectRef(self.instance_id, degrees)
 
     def mor(self, x: ObjectRef, y: ObjectRef, matrix) -> Morphism:
-        """Build a morphism x -> y from a RatMatrix or a list of rows."""
+        """Build a morphism x -> y from a RatMatrix or a list of rows.  Both
+        ends must lie in the grading group, as tensor_obj and dual_obj keep them."""
         self._own_obj(x)
         self._own_obj(y)
+        for end in (x, y):
+            if self._reduce_degrees(list(end.payload)) != end.payload:
+                raise DomainMismatch(f"object {end.payload!r} has degrees outside the"
+                                     f" grading group of {self.instance_id!r}")
         if not isinstance(matrix, RatMatrix):
             matrix = RatMatrix.from_rows(matrix)
         if matrix.rows != dim(y) or matrix.cols != dim(x):

@@ -154,13 +154,15 @@ def test_cut_rejects_isometries_and_bad_fractions():
 
 def test_thin_strands_are_refused_by_name():
     """A bordism tensored with an identity isometry carries a zero-length
-    strand.  Cutting or gluing it up is refused up front with NotBordism
-    naming the strand, also where the strand lies on a loop of positive
-    length, rather than failing later on a zero length nobody wrote."""
+    strand, and an isometry is all such strands.  Cutting or gluing one up
+    is refused up front with NotBordism naming its first strand, also where
+    the strand lies on a loop of positive length, rather than failing later
+    on a zero length nobody wrote."""
     hybrid = rb.tensor(rb.interval("x", "x", 1), rb.identity(rb.points(["z"])))
     xz = hybrid.source
     swapped = rb.compose(rb.iso_mor(xz, xz, {"x": "z", "z": "x"}), hybrid)
-    for sigma, strand in ((hybrid, "z -> z"), (swapped, "z -> x")):
+    isometry = rb.identity(rb.points(["a", "b"]))
+    for sigma, strand in ((hybrid, "z -> z"), (swapped, "z -> x"), (isometry, "a -> a")):
         with pytest.raises(NotBordism, match=f"strand {strand} .* can be cut$"):
             rb.cut_thickener(sigma, rat(1, 3))
         with pytest.raises(NotBordism, match=f"strand {strand} .* can be glued up$"):

@@ -425,6 +425,23 @@ def test_replay_rejects_bad_files(tmp_path, capsys, content):
     assert_input_error(*run_cli(capsys, "check", "--replay", str(path)))
 
 
+@pytest.mark.parametrize("instance, degree", [("supervect", 2), ("finvect", 1)])
+def test_replay_refuses_matrix_objects_outside_the_grading_group(tmp_path, capsys, instance,
+                                                                  degree):
+    """A stored morphism [d] -> [d] whose degree tensor_obj reduces is no
+    morphism of the instance: replaying it is an input error, not a
+    strict-unit counterexample to a law that holds."""
+    m = {"kind": "matrix-mor", "instance": instance, "source": [degree], "target": [degree],
+         "rows": 1, "cols": 1, "entries": {"0,0": "1"}}
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"suite": f"core.laws.{instance}",
+                                "inputs": dict.fromkeys("fghpq", m)}))
+    code, out, err = run_cli(capsys, "check", "--replay", str(path))
+    assert_input_error(code, out, err)
+    assert err == (f"cannot replay {path}: DomainMismatch: object ({degree},) has degrees"
+                   f" outside the grading group of '{instance}'\n")
+
+
 DATA = CORPUS.parent
 PINNED = {suite.pinned: sid for sid, suite in REGISTRY.items() if suite.pinned}
 

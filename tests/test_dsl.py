@@ -133,11 +133,16 @@ def test_pairing_shape_check():
 
 
 def test_s_with_dual_infers_types():
-    tp = typecheck(parse("instance finvect\nobj X = 2\nprint(s(X, dual(X)))\n"))
-    inst = get_instance("finvect")
-    term = tp.program.items[-1].args[0]
-    src, tgt = tp.term_types[id(term)]
-    assert src == inst.tensor_obj(inst.space(2), inst.dual_obj(inst.space(2)))
+    """s(X, dual(X)) is typed X * dual(X) -> dual(X) * X: assert_equal takes
+    it against c(X, dual(X)) and names both inferred types when it refuses."""
+    decl = "instance graded(q=2)\nobj X = graded{0: 1, 1: 1}\n"
+    typecheck(parse(decl + "assert_equal(s(X, dual(X)), c(X, dual(X)))\n"))
+    for other, types in (("s(dual(X), X)", "(0, 1, -1, 0) -> (0, -1, 1, 0)"),
+                         ("id(X * dual(X))", "(0, -1, 1, 0) -> (0, -1, 1, 0)")):
+        with pytest.raises(TypecheckError) as err:
+            typecheck(parse(decl + f"assert_equal(s(X, dual(X)), {other})\n"))
+        assert str(err.value) == ("3:1: assert_equal compares a morphism"
+                                  f" (0, -1, 1, 0) -> (0, 1, -1, 0) with one {types}")
 
 
 def test_duplicate_binding_rejected():
@@ -257,13 +262,30 @@ def test_corpus_instances_covered():
     assert any(h.startswith("instance graded(") for h in headers)
 
 
-def test_instance_errors_carry_the_term_position():
+@pytest.mark.parametrize("text, message", [
+    pytest.param("instance rbord1\nobj X = pts{x, x}\n",
+                 "2:9: duplicate point labels in ('x', 'x')", id="object"),
+    pytest.param("instance rbord1\nobj X = pts{x}\nobj Y = X * X\n",
+                 "3:11: label collision in disjoint union: ('x',) + ('x',)", id="object-tensor"),
+    # an object inside a term keeps the object's own position
+    pytest.param("instance rbord1\nprint(id(pts{y, y}))\n",
+                 "2:10: duplicate point labels in ('y', 'y')", id="object-in-term"),
+    pytest.param("instance rbord1\nobj X = pts{x}\nmor f : X -> X = bord{x->x : 0}\n",
+                 "3:18: arc length must be positive, got 0", id="literal"),
+    pytest.param("instance finvect\nobj X = 2\nmor X : X -> X = [[1, 0], [0, 1]]\n",
+                 "3:1: name 'X' is already bound", id="item"),
+    pytest.param("instance rbord1\nobj X = pts{x}\nprint(s(X, X))\n",
+                 "3:7: label collision in disjoint union: ('x',) + ('x',)", id="term"),
+    # a nested DSL error keeps its own position
+    pytest.param("instance finvect\nobj X = 2\nprint(id(X) ; nope)\n",
+                 "3:15: unknown morphism 'nope'", id="nested-term"),
+])
+def test_instance_errors_carry_the_term_position(text, message):
+    """An error is placed at the innermost object expression, literal, item
+    or term whose check raised it."""
     with pytest.raises(TypecheckError) as err:
-        typecheck(parse("instance rbord1\nobj X = pts{x}\nprint(s(X, X))\n"))
-    assert str(err.value) == "3:7: label collision in disjoint union: ('x',) + ('x',)"
-    with pytest.raises(TypecheckError) as err:  # a nested DSL error keeps its own position
-        typecheck(parse("instance finvect\nobj X = 2\nprint(id(X) ; nope)\n"))
-    assert str(err.value) == "3:15: unknown morphism 'nope'"
+        typecheck(parse(text))
+    assert str(err.value) == message
 
 
 def test_every_builtin_form_is_in_the_grammar_with_its_arguments():

@@ -279,6 +279,27 @@ def test_even_morphism_enforced():
         sv.mor(X, X, [[0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("inst, degree", [(fv, 1), (sv, 2), (sv, -1)],
+                         ids=["finvect-1", "supervect-2", "supervect-minus-1"])
+def test_mor_refuses_ends_outside_the_grading_group(inst, degree):
+    """obj keeps a raw degree, but tensor_obj reduces it, so a morphism on
+    such an object would break the strict unit law; mor refuses either end."""
+    raw = inst.obj((degree,))
+    reduced = inst.tensor_obj(raw, inst.unit_object())
+    assert reduced != raw
+    for src, tgt in ((raw, reduced), (reduced, raw), (raw, raw)):
+        with pytest.raises(DomainMismatch, match=r"^object \(-?\d,\) has degrees outside"):
+            inst.mor(src, tgt, [[1]])
+    assert inst.mor(reduced, reduced, [[1]]).source == reduced
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, True, "1", rat(1)], ids=repr)
+def test_obj_refuses_a_degree_that_is_not_an_int(degree):
+    for inst in (fv, sv, gq):
+        with pytest.raises(TypeError, match="a degree must be an int"):
+            inst.obj([0, degree])
+
+
 def test_direct_sum_objects():
     a = fv.space(2)
     b = fv.space(3)
