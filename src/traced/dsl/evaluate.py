@@ -12,6 +12,7 @@ from ..core import get_instance
 from ..errors import DslError, TracedError
 from .._rat import rat_str
 from . import ast
+from .pretty import literal
 from .typecheck import BORD_ENDS, TypedProgram
 
 _KIND_OF_ENDS = {ends: kind for kind, ends in BORD_ENDS.items()}
@@ -41,25 +42,22 @@ class EvalReport:
 
 
 def render_value(inst, m) -> str:
-    """A morphism value in the literal syntax: `iso{...}` when every strand
-    is thin, else `bord{...}` with each arc written as the entry kind of its
-    ends; a scalar as its one entry, any other matrix as its rows."""
+    """A morphism value as the literal pretty writes: `iso{...}` when every
+    strand is thin, else `bord{...}` with each arc written as the entry kind
+    of its ends; a scalar as its one entry, any other matrix as its rows."""
     if inst.instance_id == "rbord1":
         pairs = m.payload.isometry
         if pairs is not None:
-            return "iso{" + ", ".join(f"{a}->{b}" for a, b in pairs) + "}"
-        parts = []
-        for (a, b, l) in m.payload.arcs:
-            kind = _KIND_OF_ENDS[a[0], b[0]]
-            ends = f"{a[1]}->{b[1]}" if kind == "arc" else f"{kind} {a[1]} {b[1]}"
-            parts.append(f"{ends} : {rat_str(l)}")
-        parts.extend(f"loop: {rat_str(c)}" for c in m.payload.circles)
-        return "bord{" + ", ".join(parts) + "}"
+            return literal(ast.IsoLit(None, pairs))
+        entries = [ast.BordEntry(_KIND_OF_ENDS[a[0], b[0]], a[1], b[1], rat_str(l))
+                   for (a, b, l) in m.payload.arcs]
+        entries += [ast.BordEntry("loop", "", "", rat_str(c)) for c in m.payload.circles]
+        return literal(ast.BordLit(None, tuple(entries)))
     mat = m.payload
     if mat.rows == 1 and mat.cols == 1 and inst.is_scalar(m):
         return rat_str(mat.entry(0, 0))
-    rows = ["[" + ", ".join(rat_str(v) for v in row) + "]" for row in mat.to_rows()]
-    return "[" + ", ".join(rows) + "]"
+    return literal(ast.MatrixLit(None, tuple(tuple(rat_str(v) for v in row)
+                                             for row in mat.to_rows())))
 
 
 def evaluate(tp: TypedProgram) -> EvalReport:

@@ -18,7 +18,7 @@ def _item(item) -> str:
     if isinstance(item, ast.ObjDecl):
         return f"obj {item.name} = {_obj(item.expr)}"
     if isinstance(item, ast.MorDecl):
-        return f"mor {item.name} : {_obj(item.src)} -> {_obj(item.tgt)} = {_lit(item.literal)}"
+        return f"mor {item.name} : {_obj(item.src)} -> {_obj(item.tgt)} = {literal(item.literal)}"
     if isinstance(item, ast.TripleDecl):
         return f"triple {item.name} = {_triple(item.expr)}"
     if isinstance(item, ast.Command):
@@ -58,7 +58,8 @@ def _obj_factor(e: ast.ObjExpr) -> str:
     return _obj(e)
 
 
-def _lit(lit) -> str:
+def literal(lit) -> str:
+    """A morphism literal, as the parser reads it back."""
     if isinstance(lit, ast.MatrixLit):
         rows = ["[" + ", ".join(row) + "]" for row in lit.rows]
         return "[" + ", ".join(rows) + "]"

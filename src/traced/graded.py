@@ -20,7 +20,7 @@ so the full additivity and multiplicativity suites can run in one category.
 from __future__ import annotations
 
 from .core import Morphism, ObjectRef
-from .vect import MatrixCategory
+from .vect import MatrixCategory, indexable
 from ._rat import rat, rat_str
 
 
@@ -53,7 +53,7 @@ class GradedVect(MatrixCategory):
             n = dims[d]
             if n < 0:
                 raise ValueError("negative dimension")
-            degrees.extend([d] * n)
+            degrees.extend([d] * indexable(n))
         return self.obj(degrees)
 
     def line(self, degree: int) -> ObjectRef:

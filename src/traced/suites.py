@@ -905,13 +905,11 @@ def _corpus_inputs(cfg, trial):
 @family("dsl.corpus", "dsl.corpus", "golden corpus round-trips and all program assertions hold",
         draw=_corpus_inputs, data_trials=lambda cfg: len(_corpus_files()))
 def dsl_corpus(_inst, inputs):
-    from .dsl import parse, pretty, run_text
+    from .dsl import evaluate, parse, pretty, typecheck
 
-    text = inputs["text"]
-    prog = parse(text)
-    yield pretty(prog) == text, "pretty . parse is not the identity"
-    report = run_text(text)
-    yield report.ok, "an assertion inside the program failed"
+    prog = parse(inputs["text"])
+    yield pretty(prog) == inputs["text"], "pretty . parse is not the identity"
+    yield evaluate(typecheck(prog)).ok, "an assertion inside the program failed"
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,19 @@ def test_eval_refuses_a_number_past_the_int_digit_limit(tmp_path, capsys, progra
         2, "", f"{path}:{line}: number has more than {limit} digits\n")
 
 
+@pytest.mark.parametrize("instance, obj", [
+    ("finvect", "{n}"),
+    ("supervect", "super({n}, 0)"),
+    ("graded(q=2)", "graded{{0: {n}}}"),
+], ids=["finvect", "supervect", "graded"])
+def test_eval_refuses_an_object_dimension_no_index_reaches(tmp_path, capsys, instance, obj):
+    n = sys.maxsize + 1
+    path = tmp_path / "huge.diag"
+    path.write_text(f"instance {instance}\nobj X = {obj.format(n=n)}\nprint(id(X))\n")
+    assert run_cli(capsys, "eval", str(path)) == (
+        2, "", f"{path}:2:9: dimension {n} is too large\n")
+
+
 def test_rat_str_matches_str_without_the_digit_limit():
     values = [rat(0), rat(-7), rat(3, 8), rat(-2 ** 20000), rat(10 ** 4400),
               rat(3 ** 9000, 7 ** 5000), rat(-1, 10 ** 5000 - 1)]

@@ -1,7 +1,7 @@
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traced import get_instance, phi, phi_inv, alpha, psi, rat, tr_hat
@@ -22,8 +22,13 @@ REFERENCE_DEGREES = {
     gq.instance_id: (operator.add, operator.sub, operator.neg),
 }
 
-# Payloads obj() keeps as given: supervect degrees beyond 0/1, nonzero finvect degrees.
-raw_degrees = st.lists(st.integers(-4, 4), max_size=4)
+# Degree lists obj() accepts: all zeros in finvect, 0/1 in supervect, any int in graded.
+IN_GROUP_DEGREES = {"finvect": st.just(0), "supervect": st.integers(0, 1)}
+
+
+def raw_degrees(inst, min_size=0):
+    return st.lists(IN_GROUP_DEGREES.get(inst.instance_id, st.integers(-4, 4)),
+                    min_size=min_size, max_size=4)
 
 
 def ref_tensor_degrees(inst, x, y):
@@ -32,9 +37,10 @@ def ref_tensor_degrees(inst, x, y):
 
 
 @MATRIX_INSTANCES
-@given(xs=raw_degrees, ys=raw_degrees)
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_tensor_and_dual_obj_match_per_pair_reference(inst, xs, ys):
+def test_tensor_and_dual_obj_match_per_pair_reference(inst, data):
+    xs, ys = data.draw(raw_degrees(inst)), data.draw(raw_degrees(inst))
     x, y = inst.obj(xs), inst.obj(ys)
     neg = REFERENCE_DEGREES[inst.instance_id][2]
     assert inst.tensor_obj(x, y) == inst.obj(ref_tensor_degrees(inst, x, y))
@@ -42,9 +48,10 @@ def test_tensor_and_dual_obj_match_per_pair_reference(inst, xs, ys):
 
 
 @MATRIX_INSTANCES
-@given(xs=st.lists(st.integers(-4, 4), min_size=1, max_size=4), ys=raw_degrees)
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_split_cod_matches_per_pair_reference(inst, xs, ys):
+def test_split_cod_matches_per_pair_reference(inst, data):
+    xs, ys = data.draw(raw_degrees(inst, min_size=1)), data.draw(raw_degrees(inst))
     x, y = inst.obj(xs), inst.obj(ys)
     xd = inst.dual_obj(x)
     t = inst.zero_mor(inst.unit_object(), inst.tensor_obj(y, xd))
@@ -281,16 +288,41 @@ def test_even_morphism_enforced():
 
 @pytest.mark.parametrize("inst, degree", [(fv, 1), (sv, 2), (sv, -1)],
                          ids=["finvect-1", "supervect-2", "supervect-minus-1"])
-def test_mor_refuses_ends_outside_the_grading_group(inst, degree):
-    """obj keeps a raw degree, but tensor_obj reduces it, so a morphism on
-    such an object would break the strict unit law; mor refuses either end."""
-    raw = inst.obj((degree,))
-    reduced = inst.tensor_obj(raw, inst.unit_object())
-    assert reduced != raw
-    for src, tgt in ((raw, reduced), (reduced, raw), (raw, raw)):
-        with pytest.raises(DomainMismatch, match=r"^object \(-?\d,\) has degrees outside"):
-            inst.mor(src, tgt, [[1]])
-    assert inst.mor(reduced, reduced, [[1]]).source == reduced
+def test_obj_refuses_degrees_outside_the_grading_group(inst, degree):
+    """tensor_obj would reduce such a degree, so any morphism on the object
+    would break the strict unit law; obj refuses it where the object is born."""
+    with pytest.raises(DomainMismatch, match=r"^object \(-?\d,\) has degrees outside"):
+        inst.obj((degree,))
+    with pytest.raises(DomainMismatch, match=r"^object \(0, -?\d\) has degrees outside"):
+        inst.obj([0, degree])
+
+
+@MATRIX_INSTANCES
+@given(xs=st.lists(st.integers(-4, 4), max_size=3), ys=st.lists(st.integers(-4, 4), max_size=3))
+@example(xs=[2], ys=[])
+@settings(max_examples=60, deadline=None)
+def test_structural_morphisms_stay_in_the_grading_group_and_obey_the_unit_law(inst, xs, ys):
+    """Every structural constructor ends in the grading group, so I is a
+    strict two-sided unit for identities and switchings; a degree list obj
+    refuses never reaches them (supervect [2] broke the unit law when obj kept it)."""
+    try:
+        x, y = inst.obj(xs), inst.obj(ys)
+    except DomainMismatch:
+        add = REFERENCE_DEGREES[inst.instance_id][0]
+        assert any(add(d, 0) != d for d in xs + ys)
+        return
+    id_unit = inst.identity(inst.unit_object())
+    for f in (inst.identity(x), inst.switching(x, y)):
+        assert inst.mor_equal(inst.tensor(f, id_unit), f)
+        assert inst.mor_equal(inst.tensor(id_unit, f), f)
+    ds = inst.direct_sum(x, y)
+    _, ev, coev = inst.dual_data(x)
+    morphisms = [inst.identity(x), inst.zero_mor(x, y), inst.switching(x, y),
+                 inst.braiding_c(x, y), inst.braiding_c_inv(x, y), inst.twist_theta(x),
+                 ev, coev, ds.inj1, ds.inj2, ds.proj1, ds.proj2]
+    for f in morphisms:
+        for end in (f.source, f.target):
+            assert inst.obj(end.payload) == end
 
 
 @pytest.mark.parametrize("degree", [1.5, 1.0, True, "1", rat(1)], ids=repr)
