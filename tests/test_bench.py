@@ -60,8 +60,3 @@ def test_outcomes_and_table_name_each_side():
                         " ok; parent IQR 0% |")
     assert lines[-1].startswith("trace-wide: parent 5/5 correct")
 
-
-def test_too_few_pairs_are_refused():
-    with pytest.raises(SystemExit) as exc:
-        load_tool().main(["--base", ".", "--change", ".", "--pairs", "1"])
-    assert exc.value.code == 2

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts: a parent against a change.
 
-    python3 tools/bench.py --base ../parent --change . --workload trace-wide --pairs 10
+    python3 tools/bench.py --base ../parent --change . --workload trace-wide
 
-Each pair runs the benchmark command of BENCHMARK.json (`perfbench/run.py`)
-with `--trace 0`, once from the root of each checkout, so each side runs the
-benchmark as it ships there.  Both runs of a pair use the same seed (`--seed`
-plus the pair's index), and the side that runs first alternates from pair to
-pair.  The environment is passed through unchanged; whether
+Each of ten pairs runs the benchmark command of BENCHMARK.json
+(`perfbench/run.py`) for its `run_seconds` with `--trace 0`, once from the
+root of each checkout, so each side runs the benchmark as it ships there.
+Both runs of pair k use seed 42 + k, and the side that runs first alternates
+from pair to pair.  The environment is passed through unchanged; whether
 PYTHONDONTWRITEBYTECODE is set is printed, because set-up times depend on it.
 
 For each workload it prints one markdown row per end-to-end metric of the
@@ -29,6 +29,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
+SEED = 42
 
 
 def quartiles(values):
@@ -99,12 +102,7 @@ def main(argv=None):
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args(argv)
-    if args.pairs < 2:  # quartiles need two samples
-        ap.error(f"--pairs {args.pairs}: must be at least 2")
     for checkout in (args.base, args.change):
         if not (checkout / "BENCHMARK.json").is_file():
             ap.error(f"{checkout}: no BENCHMARK.json; give the root of a checkout")
@@ -116,16 +114,15 @@ def main(argv=None):
 
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
     flag = "unset" if flag is None else f"set to {flag!r}"
-    print(f"PYTHONDONTWRITEBYTECODE is {flag}; {args.pairs} pairs of {args.seconds:g} s"
-          " per workload")
+    seconds = spec["run_seconds"]
+    print(f"PYTHONDONTWRITEBYTECODE is {flag}; {PAIRS} pairs of {seconds:g} s per workload")
     for workload in workloads:
         pairs = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             sides, got = (args.base, args.change), [None, None]
             try:
                 for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    got[i] = run_side(spec["command"], sides[i], workload, args.seed + k,
-                                      args.seconds)
+                    got[i] = run_side(spec["command"], sides[i], workload, SEED + k, seconds)
             except (RuntimeError, subprocess.TimeoutExpired) as exc:
                 print(exc, file=sys.stderr)
                 return 1
